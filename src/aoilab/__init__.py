@@ -20,7 +20,14 @@ from .analytics import (
     scaling_exponent,
 )
 from .params import SchemeParams
-from .sampling import StreamSpec, make_stream, sample_exp, sample_max_exp, sample_min_exp
+from .sampling import (
+    StreamSpec,
+    make_stream,
+    sample_exp,
+    sample_max_exp,
+    sample_min_exp,
+    session_stream,
+)
 from .scheme import (
     AgeEstimate,
     DeliveryMode,
@@ -71,6 +78,7 @@ __all__ = [
     "sample_session_exact",
     "sample_session_worsened",
     "scaling_exponent",
+    "session_stream",
     "simulate_round_robin",
     "simulate_sessions",
 ]

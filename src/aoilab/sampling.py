@@ -6,6 +6,13 @@ Distinct stream indices therefore draw from disjoint counter ranges of the
 same keyed cipher, which is the standard way to get statistically
 independent, order-independent parallel streams.
 
+A simulation run owns the block of its ``base_stream_index`` and lays its
+sessions out back to back in it: session ``s`` of rows of ``width``
+uniforms starts ``s * ceil(width / 4)`` ticks into the block (one tick
+holds four uniforms).  A batch of sessions is then one contiguous counter
+range, filled by a single generator call, and any session can still be
+replayed in O(1) with :func:`session_stream`.
+
 All exponential-family draws go through the inverse CDF so that a draw is
 a fixed, deterministic function of one uniform.  That keeps replay exact,
 lets order statistics of arbitrarily many variables be drawn in O(1), and
@@ -54,38 +61,72 @@ def make_stream(spec: StreamSpec) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def fill_stream_rows(master_seed: int, first_index: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[i]`` with the first ``out.shape[1]`` uniforms of stream
-    ``first_index + i``.
+def row_ticks(width: int) -> int:
+    """Counter ticks one session row of ``width`` uniforms occupies."""
+    return -(-width // 4)
 
-    Bit-identical to calling ``make_stream`` per row but reuses one Philox
-    object, advancing its counter between rows.  ``advance`` moves the
-    counter in ticks of four 64-bit words, so consumption is rounded up to
-    whole ticks.
+
+def stream_window(base_stream_index: int, sessions: int, width: int) -> tuple[int, int]:
+    """Counter ticks ``[start, stop)`` that ``sessions`` rows of ``width``
+    uniforms occupy in the block of ``base_stream_index``.
+
+    Raises ``ValueError`` when the rows do not fit in one block, where they
+    would run into the window of ``base_stream_index + 1``.
     """
-    rows, width = out.shape
-    bit_gen = np.random.Philox(key=master_seed)
-    gen = np.random.Generator(bit_gen)
-    ticks_used = (width + 3) // 4
-    pos = 0
-    for i in range(rows):
-        target = (first_index + i) * BLOCK_TICKS
-        bit_gen.advance(target - pos)
-        gen.random(out=out[i])
-        pos = target + ticks_used
-    return out
+    ticks = sessions * row_ticks(width)
+    if ticks > BLOCK_TICKS:
+        raise ValueError(
+            f"{sessions} sessions of {width} uniforms need {ticks} counter ticks, "
+            f"more than the {BLOCK_TICKS} of one stream block; at most "
+            f"{BLOCK_TICKS // row_ticks(width)} sessions fit in one run"
+        )
+    start = base_stream_index * BLOCK_TICKS
+    return start, start + ticks
 
 
-def _clean_uniform(u):
-    """Remap u == 0 to the smallest positive uniform (avoids -log(0))."""
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return _TINY_UNIFORM if u == 0.0 else u
+def session_stream(
+    master_seed: int, base_stream_index: int, session: int, width: int
+) -> np.random.Generator:
+    """Generator positioned at the row of ``session`` in a run of rows of
+    ``width`` uniforms: its first ``width`` draws are that session's row."""
+    gen = make_stream(StreamSpec(master_seed, base_stream_index))
+    gen.bit_generator.advance(session * row_ticks(width))
+    return gen
+
+
+def fill_stream_rows(
+    master_seed: int, base_stream_index: int, first_session: int, rows: int, width: int
+) -> np.ndarray:
+    """Uniform rows of sessions ``first_session .. first_session + rows - 1``.
+
+    Returns a ``(rows, width)`` view whose row ``i`` equals the first
+    ``width`` draws of ``session_stream(master_seed, base_stream_index,
+    first_session + i, width)``.  Rows are padded to whole ticks, so the
+    batch is one contiguous counter range drawn by one generator call.
+    """
+    gen = session_stream(master_seed, base_stream_index, first_session, width)
+    buf = np.empty((rows, 4 * row_ticks(width)))
+    gen.random(out=buf)
+    return buf[:, :width]
+
+
+def _clean_uniform(u) -> np.ndarray:
+    """Fresh array of ``u`` with u == 0 remapped to the smallest positive
+    uniform (avoids -log(0)); the transforms below then compute in it."""
     return np.where(u == 0.0, _TINY_UNIFORM, u)
+
+
+def _result(out: np.ndarray, u):
+    return out if np.ndim(u) else out[()]
 
 
 def exp_from_uniform(u, rate: float):
     """Inverse-CDF exponential transform: -log(1 - u) / rate."""
-    return -np.log1p(-_clean_uniform(u)) / rate
+    out = _clean_uniform(u)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.divide(out, -rate, out=out)
+    return _result(out, u)
 
 
 def max_exp_from_uniform(u, count: int, rate: float):
@@ -100,8 +141,14 @@ def max_exp_from_uniform(u, count: int, rate: float):
         return np.zeros_like(u) if np.ndim(u) else 0.0
     if count == 1:
         return exp_from_uniform(u, rate)
-    u = _clean_uniform(u)
-    return -np.log(-np.expm1(np.log(u) / count)) / rate
+    out = _clean_uniform(u)
+    np.log(out, out=out)
+    np.divide(out, count, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    np.divide(out, -rate, out=out)
+    return _result(out, u)
 
 
 def min_exp_from_uniform(u, count: int, rate: float):

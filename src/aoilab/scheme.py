@@ -15,8 +15,10 @@ delivery wait, at the price of occasionally placing the delivery after the
 session end) and ``coupled`` reuses the tagged cell's own draw from that
 round, which guarantees delivery-before-session-end on every path.
 
-Sessions are i.i.d.; session ``s`` of a run draws from stream
-``base_stream_index + s``, so results are independent of worker count.
+Sessions are i.i.d.; session ``s`` of a run draws the ``s``-th row of
+the run's counter window (see :mod:`aoilab.sampling`), so results are
+independent of worker count and any session replays through
+:func:`aoilab.sampling.session_stream`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .sampling import (
     exp_from_uniform,
     fill_stream_rows,
     max_exp_from_uniform,
+    stream_window,
 )
 
 
@@ -130,7 +133,7 @@ class AgeEstimate:
 class SimulationRun:
     """Column store of simulated sessions plus per-batch moment summaries.
 
-    Sessions appear in stream-index order; ``batch_summaries[i]`` covers
+    Sessions appear in session order; ``batch_summaries[i]`` covers
     sessions ``[i * batch_size, (i+1) * batch_size)``.
     """
 
@@ -157,8 +160,8 @@ class SimulationRun:
 
 # ---------------------------------------------------------------------------
 # Draw layouts and vectorized kernels.  Each session consumes a fixed-width
-# row of uniforms from its own stream; scalar ops and the batch engine share
-# these kernels, so they are draw-for-draw identical.
+# row of uniforms; scalar ops and the batch engine share these kernels, so a
+# scalar sampler given a session's stream reproduces its batch row exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -245,6 +248,9 @@ def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
     d = y1 + y2 + z
     y = y1 + y2 + y3
     return {"y1": y1, "y2": y2, "y3": y3, "z": z, "d": d, "y": y}
+
+
+_ROUND_ROBIN_WIDTH = 3
 
 
 def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
@@ -449,24 +455,15 @@ def _default_batch_size(width: int, sessions: int) -> int:
 
 
 def _run_batch(args) -> tuple[int, dict, MomentSummary]:
-    kind, spec, variant, mode, seed, first_index, start, count = args
-    if kind == "scheme":
-        params: SchemeParams = spec
-        if variant == Variant.WORSENED:
-            width = _worsened_width(params)
-        else:
-            width = _exact_width(params)
-        u = np.empty((count, width))
-        fill_stream_rows(seed, first_index + start, u)
-        if variant == Variant.WORSENED:
-            cols = _worsened_kernel(u, params, mode)
-        else:
-            cols = _exact_kernel(u, params)
-    else:
+    kind, spec, variant, mode, width, seed, base_index, start, count = args
+    u = fill_stream_rows(seed, base_index, start, count, width)
+    if kind == "round_robin":
         n, rate = spec
-        u = np.empty((count, 3))
-        fill_stream_rows(seed, first_index + start, u)
         cols = _round_robin_kernel(u, n, rate)
+    elif variant == Variant.WORSENED:
+        cols = _worsened_kernel(u, spec, mode)
+    else:
+        cols = _exact_kernel(u, spec)
     return start, cols, MomentSummary.from_arrays(cols["y"], cols["d"])
 
 
@@ -475,6 +472,7 @@ def _run_batches(
     spec,
     variant: Variant,
     mode: DeliveryMode,
+    width: int,
     sessions: int,
     master_seed: int,
     base_stream_index: int,
@@ -483,8 +481,9 @@ def _run_batches(
 ) -> SimulationRun:
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
+    stream_window(base_stream_index, sessions, width)  # raises before allocating
     tasks = [
-        (kind, spec, variant, mode, master_seed, base_stream_index, start,
+        (kind, spec, variant, mode, width, master_seed, base_stream_index, start,
          min(batch_size, sessions - start))
         for start in range(0, sessions, batch_size)
     ]
@@ -529,7 +528,9 @@ def simulate_sessions(
     workers: int = 1,
     batch_size: int | None = None,
 ) -> SimulationRun:
-    """Simulate i.i.d. sessions; session s uses stream base_stream_index+s.
+    """Simulate i.i.d. sessions; session ``s`` draws row ``s`` of the run's
+    counter window in the block of ``base_stream_index``, and
+    ``session_stream(master_seed, base_stream_index, s, width)`` replays it.
 
     Worker parallelism splits whole batches; batch boundaries and the
     reduction order are fixed, so outputs are bit-identical for any
@@ -542,7 +543,7 @@ def simulate_sessions(
     width = _worsened_width(params) if variant == Variant.WORSENED else _exact_width(params)
     bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
     return _run_batches(
-        "scheme", params, variant, delivery, sessions,
+        "scheme", params, variant, delivery, width, sessions,
         master_seed, base_stream_index, workers, bs,
     )
 
@@ -562,10 +563,11 @@ def simulate_round_robin(
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    bs = batch_size if batch_size is not None else _default_batch_size(3, sessions)
+    width = _ROUND_ROBIN_WIDTH
+    bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
     return _run_batches(
-        "round_robin", (int(n), float(rate)), Variant.ROUND_ROBIN,
-        DeliveryMode.COUPLED, sessions, master_seed, base_stream_index, workers, bs,
+        "round_robin", (int(n), float(rate)), Variant.ROUND_ROBIN, DeliveryMode.COUPLED,
+        width, sessions, master_seed, base_stream_index, workers, bs,
     )
 
 
@@ -654,13 +656,3 @@ def integrate_age_timeline(
     return AgeEstimate(
         delta_hat=delta, std_err=std_err, method="timeline", sessions=int(y.size)
     )
-
-
-def write_session_dump(run: SimulationRun, path) -> None:
-    """Debug dump, one row per session."""
-    columns = (run.y1, run.y2, run.y3, run.z, run.d, run.y)
-    with open(path, "w", newline="") as fh:
-        fh.write("session_index,variant,y1,y2,y3,z,d,y\n")
-        for i in range(run.sessions):
-            values = ",".join(repr(float(col[i])) for col in columns)
-            fh.write(f"{i},{run.variant.value},{values}\n")

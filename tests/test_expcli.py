@@ -9,6 +9,8 @@ import pytest
 
 from aoilab import SchemeParams, closed_form_age, estimate_age_moment_formula, simulate_sessions
 from aoilab.expcli import (
+    _BASELINE_OFFSET,
+    _POINT_STRIDE,
     SweepConfig,
     SweepRow,
     divisor_adjusted_m,
@@ -19,6 +21,8 @@ from aoilab.expcli import (
     read_rows_csv,
     run_sweep,
 )
+from aoilab.sampling import BLOCK_TICKS, row_ticks, stream_window
+from aoilab.scheme import _ROUND_ROBIN_WIDTH, _exact_width, _worsened_width
 
 
 class TestDivisorAdjustment:
@@ -130,6 +134,25 @@ class TestRunSweep:
         rows = run_sweep(config, timing=False)
         assert rows[0].m is None and rows[0].delta_sim is None
         assert rows[1].m == 8
+
+    def test_stream_windows_are_disjoint(self):
+        # Every point of a b = 1/4 sweep up to n = 2^20, both variants, at the
+        # most sessions one window can hold for the widest row among them.
+        grid = [2**k for k in range(8, 21)]
+        points = []
+        for n in grid:
+            params = SchemeParams(n, divisor_adjusted_m(n, n**0.25))
+            points.append(max(_worsened_width(params), _exact_width(params)))
+        sessions = BLOCK_TICKS // row_ticks(max(points))
+        windows = []
+        for i, width in enumerate(points):
+            windows.append(stream_window(i * _POINT_STRIDE, sessions, width))
+            windows.append(
+                stream_window(i * _POINT_STRIDE + _BASELINE_OFFSET, sessions, _ROUND_ROBIN_WIDTH)
+            )
+        windows.sort()
+        assert all(stop > start for start, stop in windows)
+        assert all(a[1] <= b[0] for a, b in zip(windows, windows[1:]))
 
     def test_timeline_column_only_for_coupled(self):
         base = dict(n_grid=(64,), sessions=1000, master_seed=2)

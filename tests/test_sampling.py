@@ -6,10 +6,15 @@ from scipy import stats
 
 from aoilab import StreamSpec, harmonic, make_stream, sample_exp, sample_max_exp, sample_min_exp
 from aoilab.sampling import (
+    _TINY_UNIFORM,
+    BLOCK_TICKS,
     exp_from_uniform,
     fill_stream_rows,
     max_exp_from_uniform,
     min_exp_from_uniform,
+    row_ticks,
+    session_stream,
+    stream_window,
 )
 
 
@@ -50,11 +55,26 @@ class TestStreams:
             StreamSpec(0, 2**64)
 
     def test_fill_stream_rows_matches_make_stream(self):
-        out = np.empty((6, 9))
-        fill_stream_rows(master_seed=55, first_index=100, out=out)
-        for i in range(6):
-            expected = make_stream(StreamSpec(55, 100 + i)).random(9)
-            assert np.array_equal(out[i], expected)
+        # Session s starts s * ceil(width / 4) ticks into the base block, so
+        # the rows are consecutive slices of the base stream, padded to
+        # whole ticks, and session_stream replays each one.
+        for width in (3, 8, 9):
+            padded = 4 * row_ticks(width)
+            rows = fill_stream_rows(55, 100, 3, 6, width)
+            block = make_stream(StreamSpec(55, 100))
+            block.random(3 * padded)
+            assert np.array_equal(rows, block.random((6, padded))[:, :width])
+            for i in range(6):
+                expected = session_stream(55, 100, 3 + i, width).random(width)
+                assert np.array_equal(rows[i], expected)
+
+    def test_stream_window_fills_at_most_one_block(self):
+        width = 147
+        most = BLOCK_TICKS // row_ticks(width)
+        start, stop = stream_window(5, most, width)
+        assert start == 5 * BLOCK_TICKS and stop <= 6 * BLOCK_TICKS
+        with pytest.raises(ValueError, match="counter ticks"):
+            stream_window(5, most + 1, width)
 
 
 class TestSampleExp:
@@ -148,3 +168,45 @@ class TestSampleMinExp:
     def test_transform_is_exponential_at_scaled_rate(self):
         u = np.linspace(0.01, 0.99, 11)
         assert np.array_equal(min_exp_from_uniform(u, 6, 0.5), exp_from_uniform(u, 3.0))
+
+
+class TestInPlaceTransforms:
+    """The transforms compute in one output array; the expressions below are
+    the allocating originals, kept as the bit-for-bit reference."""
+
+    @staticmethod
+    def _clean(u):
+        return np.where(u == 0.0, _TINY_UNIFORM, u)
+
+    def _exp_reference(self, u, rate):
+        return -np.log1p(-self._clean(u)) / rate
+
+    def _max_reference(self, u, count, rate):
+        if count == 0:
+            return np.zeros_like(u)
+        if count == 1:
+            return self._exp_reference(u, rate)
+        return -np.log(-np.expm1(np.log(self._clean(u)) / count)) / rate
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 4096])
+    @pytest.mark.parametrize("count", [0, 1, 2, 4096])
+    def test_bit_identical_and_input_untouched(self, size, count):
+        u = make_stream(StreamSpec(41, size)).random(size)
+        u[: min(size, 4)] = [0.0, 5e-324, 1e-300, 2.0**-53][: min(size, 4)]
+        before = u.copy()
+        for rate in (1.0, 0.7, 3.0):
+            assert np.array_equal(
+                max_exp_from_uniform(u, count, rate), self._max_reference(u, count, rate)
+            )
+            assert np.array_equal(exp_from_uniform(u, rate), self._exp_reference(u, rate))
+        assert np.array_equal(u, before)
+
+    def test_strided_views_and_scalars(self):
+        u = make_stream(StreamSpec(42, 0)).random((64, 9))
+        u[0, 0] = 0.0
+        view = u[:, 2:7]
+        assert np.array_equal(max_exp_from_uniform(view, 8, 1.0), self._max_reference(view, 8, 1.0))
+        for x in (0.0, 0.25):
+            got = max_exp_from_uniform(x, 8, 2.0)
+            assert np.ndim(got) == 0 and got == self._max_reference(np.float64(x), 8, 2.0)
+            assert exp_from_uniform(x, 2.0) == self._exp_reference(np.float64(x), 2.0)

@@ -24,7 +24,13 @@ from aoilab import (
     simulate_round_robin,
     simulate_sessions,
 )
-from aoilab.scheme import SessionSample
+from aoilab.sampling import session_stream
+from aoilab.scheme import (
+    SessionSample,
+    _exact_width,
+    _round_robin_kernel,
+    _worsened_width,
+)
 
 
 def _se(arr):
@@ -74,12 +80,22 @@ class TestWorsenedSampler:
             assert np.all(col > 0)
 
     def test_scalar_matches_batch_row(self):
+        # Session 0, the first session of the second batch and the last one
+        # replay bit for bit from their own streams, in both delivery modes.
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 64, master_seed=7, batch_size=16)
-        sample = sample_session_worsened(params, make_stream(StreamSpec(7, 17)))
-        assert sample.y == run.y[17]
-        assert sample.d == run.d[17]
-        assert sample.variant == Variant.WORSENED
+        width = _worsened_width(params)
+        for mode in DeliveryMode:
+            run = simulate_sessions(
+                params, 64, delivery=mode, master_seed=7, base_stream_index=3,
+                batch_size=16,
+            )
+            for s in (0, 16, 63):
+                stream = session_stream(7, 3, s, width)
+                sample = sample_session_worsened(params, stream, mode)
+                assert sample.y == run.y[s]
+                assert sample.d == run.d[s]
+                assert sample.z == run.z[s]
+                assert sample.variant == Variant.WORSENED
 
     def test_phase_independence(self):
         run = simulate_sessions(SchemeParams(64, 4), 100_000, master_seed=106)
@@ -140,10 +156,14 @@ class TestExactSampler:
 
     def test_scalar_matches_batch_row(self):
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=5)
-        sample = sample_session_exact(params, make_stream(StreamSpec(5, 3)))
-        assert sample.y == run.y[3]
-        assert sample.z == run.z[3]
+        run = simulate_sessions(
+            params, 16, variant=Variant.EXACT, master_seed=5, batch_size=4
+        )
+        for s in (0, 4, 15):
+            stream = session_stream(5, 0, s, _exact_width(params))
+            sample = sample_session_exact(params, stream)
+            assert sample.y == run.y[s]
+            assert sample.z == run.z[s]
 
 
 class TestCoupledSessions:
@@ -350,30 +370,22 @@ class TestRoundRobin:
         sq = run.y**2
         assert abs(sq.mean() - (n * n + n) / rate**2) < 4 * _se(sq)
 
+    def test_batch_rows_replay_from_session_stream(self):
+        n, rate = 6, 1.0
+        run = simulate_round_robin(
+            n, rate, 96, master_seed=605, base_stream_index=1 << 31, batch_size=32
+        )
+        for s in (0, 32, 95):
+            u = session_stream(605, 1 << 31, s, 3).random(3)[None, :]
+            cols = _round_robin_kernel(u, n, rate)
+            assert cols["y"][0] == run.y[s]
+            assert cols["d"][0] == run.d[s]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_round_robin(0, 1.0, 100)
         with pytest.raises(ValueError):
             sample_round_robin(3, -1.0, make_stream(StreamSpec(0, 0)))
-
-
-class TestSessionDump:
-    def test_dump_columns_and_round_trip_values(self, tmp_path):
-        import csv
-
-        from aoilab.scheme import write_session_dump
-
-        run = simulate_sessions(SchemeParams(16, 4), 50, master_seed=701)
-        path = tmp_path / "sessions.csv"
-        write_session_dump(run, path)
-        with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-        assert len(records) == 50
-        assert list(records[0]) == [
-            "session_index", "variant", "y1", "y2", "y3", "z", "d", "y",
-        ]
-        assert float(records[7]["y"]) == run.y[7]
-        assert records[0]["variant"] == "worsened"
 
 
 class TestSimulateSessions:
@@ -384,6 +396,14 @@ class TestSimulateSessions:
     def test_rejects_zero_sessions(self):
         with pytest.raises(ValueError):
             simulate_sessions(SchemeParams(8, 2), 0)
+
+    def test_rejects_run_past_its_counter_window_before_allocating(self):
+        # 2^40 sessions would need terabytes of columns; the window check
+        # must refuse the run before any of them is allocated.
+        with pytest.raises(ValueError, match="counter ticks"):
+            simulate_sessions(SchemeParams(65536, 16), 2**40)
+        with pytest.raises(ValueError, match="counter ticks"):
+            simulate_round_robin(1024, 1.0, 2**40)
 
     def test_arrays_bitwise_stable_across_workers(self):
         params = SchemeParams(64, 4)
