@@ -524,7 +524,7 @@ def _cmd_topology(args) -> int:
     grid = build_cells(args.n, args.m, args.area)
     stream = make_stream(StreamSpec(args.seed, 0))
     topology = place_nodes(args.n, args.area, stream).with_cells(grid)
-    pairing, retries = assign_pairs(
+    pairing, rejected = assign_pairs(
         topology, stream, forbid_same_cell=not args.allow_same_cell
     )
     topology.pairing = pairing
@@ -544,7 +544,7 @@ def _cmd_topology(args) -> int:
         raise OSError(f"failed writing topology outputs under {out}: {exc}") from exc
     print(
         f"n={args.n} m={args.m} cells={grid.num_cells} cell_len={grid.cell_len!r} "
-        f"pairing_retries={retries}"
+        f"pairing_rejected_proposals={rejected}"
     )
     print(f"gamma={args.gamma!r} (9-TDMA admissible up to {GUARD_ZONE_LIMIT!r})")
     print(f"violations={len(all_violations)}")

@@ -6,6 +6,13 @@ on a square, cells are a regular grid, and simultaneous in-cell
 transmissions are scheduled with a 9-group TDMA reuse pattern whose
 admissibility is checked against the protocol interference model
 d(receiver, interferer) >= (1 + gamma) * d(receiver, transmitter).
+
+Source-destination pairs avoid sharing a cell.  Whether such a pairing
+exists is decided exactly (Hall's condition), and one is drawn uniformly
+by a lazy Markov-chain walk over admissible permutations, so pairing
+never gives up on a feasible topology.  The protocol check compares
+link pairs in fixed-size numpy blocks, so its memory stays linear in
+the number of links.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 
 TDMA_GROUPS = 9
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
+_PAIR_BLOCK = 4096  # link pairs per block of check_protocol_model
 
 
 @dataclass(frozen=True)
@@ -98,29 +106,62 @@ def assign_pairs(
     topology: Topology,
     stream: np.random.Generator,
     forbid_same_cell: bool = True,
-    max_retries: int = 10_000,
 ) -> tuple[np.ndarray, int]:
-    """Uniform random destination permutation, resampled until admissible.
+    """Uniform random admissible destination permutation, by a Markov-chain walk.
 
     Admissible means no node paired with itself and, if ``forbid_same_cell``
-    (requires a cell grid), no pair within one cell.  Returns the pairing
-    and the number of rejected permutations; rejection sampling perturbs
-    uniformity slightly, which tests measure rather than assume away.
+    (requires a cell grid), no pair within one cell.  Give every node a
+    label, its cell or else its own id; a permutation is admissible iff
+    it maps no node to a node of the same label.  By Hall's theorem one
+    exists iff no label class holds more than n/2 nodes, so anything
+    else raises ``RuntimeError`` naming the largest class.
+
+    The walk starts from the nodes sorted by label and shifted by the
+    largest class size, which is admissible.  Each sweep splits one
+    ``stream.permutation(n)`` into disjoint pairs that propose to swap
+    destinations, and a second one into disjoint triples that propose to
+    rotate them.  A proposal that stays admissible is applied with
+    probability 1/2 (one ``stream.random`` draw each).  The proposal is
+    symmetric and lazy, so the uniform law on admissible permutations is
+    stationary; swaps alone leave some small occupancy patterns
+    disconnected, and the 3-cycles join them.  A fixed
+    ``3*ceil(log2 n) + 32`` sweeps run, in the spirit of the
+    random-transposition shuffle (Diaconis and Shahshahani, 1981).
+
+    Returns the pairing and the number of proposals not applied, because
+    they were inadmissible or lost the coin.
     """
     if forbid_same_cell and topology.cell_of is None:
         raise ValueError("forbid_same_cell requires a topology with assigned cells")
     n = topology.n
-    for retries in range(max_retries + 1):
-        perm = stream.permutation(n)
-        if np.any(perm == np.arange(n)):
-            continue
-        if forbid_same_cell and np.any(topology.cell_of[perm] == topology.cell_of):
-            continue
-        return perm, retries
-    raise RuntimeError(
-        f"no admissible pairing found in {max_retries} attempts; constraints "
-        f"may be infeasible for this topology"
-    )
+    label = np.asarray(topology.cell_of) if forbid_same_cell else np.arange(n)
+    values, counts = np.unique(label, return_counts=True)
+    largest = int(counts.max(initial=0))
+    if 2 * largest > n:
+        kind = "cell" if forbid_same_cell else "node"
+        raise RuntimeError(
+            f"no admissible pairing exists: {kind} {values[counts.argmax()]} holds "
+            f"{largest} of {n} nodes, more than n/2 (Hall's condition)"
+        )
+    order = np.argsort(label, kind="stable")
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = np.roll(order, -largest)
+
+    # Row i of a group takes the destination of row i + 1, cyclically.
+    moves = [(size, (np.arange(size) + 1) % size) for size in (2, 3)]
+    rejected = 0
+    sweeps = 3 * max(n - 1, 0).bit_length() + 32  # 3*ceil(log2 n) + 32
+    for _ in range(sweeps):
+        for size, rotate in moves:
+            groups = n // size
+            nodes = stream.permutation(n)[: groups * size].reshape(groups, size).T
+            dest = perm[nodes]
+            moved = dest[rotate]
+            admissible = np.logical_and.reduce(label[moved] != label[nodes])
+            ok = admissible & (stream.random(groups) < 0.5)
+            perm[nodes] = np.where(ok, moved, dest)
+            rejected += groups - int(np.count_nonzero(ok))
+    return perm, rejected
 
 
 @dataclass(frozen=True)
@@ -154,6 +195,12 @@ class Violation:
     margin: float  # d_interferer - (1 + gamma) * d_own, negative here
 
 
+def _distances(diff: np.ndarray) -> np.ndarray:
+    # Bit-identical to np.linalg.norm of each 2-vector, which also takes a
+    # dot product; sqrt(dx*dx + dy*dy) can differ in the last bit.
+    return np.sqrt(np.vecdot(diff, diff))
+
+
 def check_protocol_model(
     topology: Topology,
     transmissions: list[tuple[int, int]],
@@ -163,33 +210,47 @@ def check_protocol_model(
 
     ``transmissions`` lists (transmitter, receiver) node pairs assumed
     simultaneously active.  A reception fails when some other transmitter k
-    satisfies d(rx, k) < (1 + gamma) * d(rx, tx).  An empty result means
-    the configuration is admissible.
+    satisfies d(rx, k) < (1 + gamma) * d(rx, tx); a transmitter never
+    interferes with its own links.  Violations come in (link, interfering
+    link) order of the list.  An empty result means the configuration is
+    admissible.
+
+    Distances are computed in blocks of about ``_PAIR_BLOCK`` link pairs,
+    so memory stays linear in the number of links.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    links = np.asarray(transmissions, dtype=np.int64).reshape(len(transmissions), 2)
+    tx, rx = links[:, 0], links[:, 1]
+    same = np.flatnonzero(tx == rx)
+    if same.size:
+        raise ValueError(f"transmitter and receiver coincide: node {tx[same[0]]}")
     pos = topology.positions
+    d_own = _distances(pos[rx] - pos[tx])
+    threshold = (1.0 + gamma) * d_own
+    tx_ids, rx_ids = tx.tolist(), rx.tolist()
     violations: list[Violation] = []
-    for tx, rx in transmissions:
-        if tx == rx:
-            raise ValueError(f"transmitter and receiver coincide: node {tx}")
-        d_own = float(np.linalg.norm(pos[rx] - pos[tx]))
-        threshold = (1.0 + gamma) * d_own
-        for other_tx, _ in transmissions:
-            if other_tx == tx:
-                continue
-            d_int = float(np.linalg.norm(pos[rx] - pos[other_tx]))
-            if d_int < threshold:
-                violations.append(
-                    Violation(
-                        receiver=rx,
-                        transmitter=tx,
-                        interferer=other_tx,
-                        d_own=d_own,
-                        d_interferer=d_int,
-                        margin=d_int - threshold,
-                    )
+    rows = max(1, _PAIR_BLOCK // max(len(links), 1))
+    for lo in range(0, len(links), rows):
+        hi = min(lo + rows, len(links))
+        d_int = _distances(pos[rx[lo:hi], None, :] - pos[None, tx, :])
+        hit = (d_int < threshold[lo:hi, None]) & (tx[None, :] != tx[lo:hi, None])
+        i, j = np.nonzero(hit)
+        d = d_int[i, j]
+        i += lo
+        for link, other, d_i, d_k, t in zip(
+            i.tolist(), j.tolist(), d_own[i].tolist(), d.tolist(), threshold[i].tolist()
+        ):
+            violations.append(
+                Violation(
+                    receiver=rx_ids[link],
+                    transmitter=tx_ids[link],
+                    interferer=tx_ids[other],
+                    d_own=d_i,
+                    d_interferer=d_k,
+                    margin=d_k - t,
                 )
+            )
     return violations
 
 
@@ -204,11 +265,16 @@ def same_cell_transmissions(
     """
     if topology.cell_of is None:
         raise ValueError("topology has no cell assignment")
+    order = np.argsort(topology.cell_of, kind="stable")
+    sorted_cells = topology.cell_of[order]
+    wanted = np.asarray(cells, dtype=sorted_cells.dtype)
+    starts = np.searchsorted(sorted_cells, wanted, side="left").tolist()
+    stops = np.searchsorted(sorted_cells, wanted, side="right").tolist()
     out: list[tuple[int, int]] = []
-    for cell in cells:
-        members = np.flatnonzero(topology.cell_of == cell)
-        if members.size < 2:
+    for lo, hi in zip(starts, stops):
+        if hi - lo < 2:
             continue
+        members = order[lo:hi]  # ascending node ids: the sort is stable
         pts = topology.positions[members]
         diffs = pts[:, None, :] - pts[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)

@@ -21,6 +21,7 @@ from aoilab.expcli import (
     read_rows_csv,
     run_sweep,
 )
+from aoilab.geometry import build_cells, read_topology_csv
 from aoilab.sampling import BLOCK_TICKS, row_ticks, stream_window
 from aoilab.scheme import _ROUND_ROBIN_WIDTH, _exact_width, _worsened_width
 
@@ -313,6 +314,23 @@ class TestCli:
         assert "violations=0" in out
         assert (tmp_path / "topo" / "topology.csv").exists()
         assert (tmp_path / "topo" / "violations.csv").exists()
+
+    def test_topology_at_quarter_exponent_scale(self, tmp_path, capsys):
+        # b = 1/4 with m = 16 at n = 2^16: the pairing exists (16 <= n/2) and
+        # the 9-TDMA pattern is admissible at the default guard zone.
+        out_dir = tmp_path / "topo"
+        code = main(["topology", "--n", "65536", "--m", "16", "--out", str(out_dir)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "violations=0" in out
+        assert "pairing_rejected_proposals=" in out
+        grid = build_cells(65536, 16, 1.0)
+        topo = read_topology_csv(out_dir / "topology.csv", area_side=1.0, grid=grid)
+        nodes = np.arange(65536)
+        assert np.array_equal(np.sort(topo.pairing), nodes)
+        assert not np.any(topo.pairing == nodes)
+        assert not np.any(topo.cell_of[topo.pairing] == topo.cell_of)
+        assert (out_dir / "violations.csv").read_text().count("\n") == 1
 
     def test_sweep_workers_byte_identical(self, tmp_path):
         outputs = []

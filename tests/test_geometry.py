@@ -1,14 +1,18 @@
 """Placement, cells, pairing, 9-TDMA grouping, and the protocol model."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from aoilab import geometry
 from aoilab.geometry import (
     GUARD_ZONE_LIMIT,
     CellGrid,
+    Topology,
+    Violation,
     assign_pairs,
     build_cells,
     cell_index,
@@ -27,6 +31,96 @@ def _topology(n=100, m=4, area=1.0, seed=0, stream=None):
     stream = stream or make_stream(StreamSpec(seed, 0))
     grid = build_cells(n, m, area)
     return place_nodes(n, area, stream).with_cells(grid), stream
+
+
+def _assert_admissible(pairing, cell_of):
+    nodes = np.arange(len(cell_of))
+    assert np.array_equal(np.sort(pairing), nodes)
+    assert not np.any(pairing == nodes)
+    assert not np.any(cell_of[pairing] == cell_of)
+
+
+def _pair_distance_ks_pvalue(topo, stream, draws):
+    """KS p-value of paired-node distances against all different-cell pairs."""
+    observed = []
+    for _ in range(draws):
+        pairing, _ = assign_pairs(topo, stream)
+        observed.append(
+            np.linalg.norm(topo.positions - topo.positions[pairing], axis=1)
+        )
+    observed = np.concatenate(observed)
+    diffs = topo.positions[:, None, :] - topo.positions[None, :, :]
+    dist = np.linalg.norm(diffs, axis=2)
+    cross_cell = topo.cell_of[:, None] != topo.cell_of[None, :]
+    reference = dist[cross_cell & (dist > 0)]
+    return stats.ks_2samp(observed, reference).pvalue
+
+
+def _labelled(pattern):
+    """Topology whose cells hold the given numbers of nodes; positions unused."""
+    cell_of = np.repeat(np.arange(len(pattern)), pattern)
+    return Topology(area_side=1.0, positions=np.zeros((cell_of.size, 2)), cell_of=cell_of)
+
+
+def _occupancy_patterns(n, largest):
+    """Partitions of n into parts of at most ``largest``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _occupancy_patterns(n - part, part):
+            yield (part,) + rest
+
+
+# Test-only references: the per-pair loop and the per-cell scan that the
+# vectorized code replaced.  The vectorized results must equal them exactly.
+def _reference_check_protocol_model(topology, transmissions, gamma):
+    pos = topology.positions
+    violations = []
+    for tx, rx in transmissions:
+        if tx == rx:
+            raise ValueError(f"transmitter and receiver coincide: node {tx}")
+        d_own = float(np.linalg.norm(pos[rx] - pos[tx]))
+        threshold = (1.0 + gamma) * d_own
+        for other_tx, _ in transmissions:
+            if other_tx == tx:
+                continue
+            d_int = float(np.linalg.norm(pos[rx] - pos[other_tx]))
+            if d_int < threshold:
+                violations.append(
+                    Violation(
+                        receiver=rx,
+                        transmitter=tx,
+                        interferer=other_tx,
+                        d_own=d_own,
+                        d_interferer=d_int,
+                        margin=d_int - threshold,
+                    )
+                )
+    return violations
+
+
+def _reference_same_cell_transmissions(topology, cells):
+    out = []
+    for cell in cells:
+        members = np.flatnonzero(topology.cell_of == cell)
+        if members.size < 2:
+            continue
+        pts = topology.positions[members]
+        diffs = pts[:, None, :] - pts[None, :, :]
+        dist = np.linalg.norm(diffs, axis=2)
+        i, j = np.unravel_index(np.argmax(dist), dist.shape)
+        out.append((int(members[i]), int(members[j])))
+    return out
+
+
+def _same_violations(got, want):
+    # Violation equality compares floats with ==, which is bit equality here
+    # (no NaNs); the types must also be plain ints and floats.
+    assert got == want
+    for v in got:
+        assert all(type(getattr(v, f)) is int for f in ("receiver", "transmitter", "interferer"))
+        assert all(type(getattr(v, f)) is float for f in ("d_own", "d_interferer", "margin"))
 
 
 class TestPlacement:
@@ -115,26 +209,97 @@ class TestAssignPairs:
         grid = build_cells(8, 8, 1.0)
         stream = make_stream(StreamSpec(6, 0))
         topo = place_nodes(8, 1.0, stream).with_cells(grid)
-        with pytest.raises(RuntimeError, match="attempts"):
-            assign_pairs(topo, stream, max_retries=50)
+        with pytest.raises(RuntimeError, match="cell 0 holds 8 of 8 nodes"):
+            assign_pairs(topo, stream)
 
     def test_pair_distances_match_conditional_uniform_prediction(self):
-        # Rejection sampling should leave pair distances distributed like a
-        # uniformly random admissible (different-cell) pair.
+        # The walk should leave pair distances distributed like a uniformly
+        # random admissible (different-cell) pair.
         topo, stream = _topology(seed=7)
-        observed = []
-        for _ in range(300):
+        assert _pair_distance_ks_pvalue(topo, stream, draws=300) > 0.01
+
+    def test_pair_distances_uniform_at_quarter_exponent_cells(self):
+        # The same check at (256, 16), where rejection sampling gave up.
+        topo, stream = _topology(n=256, m=16, seed=17)
+        assert _pair_distance_ks_pvalue(topo, stream, draws=100) > 0.01
+
+    @pytest.mark.parametrize("n,m", [(144, 9), (256, 16), (1024, 16)])
+    def test_former_rejection_failures_pair(self, n, m):
+        topo, stream = _topology(n=n, m=m, seed=18)
+        pairing, _ = assign_pairs(topo, stream)
+        _assert_admissible(pairing, topo.cell_of)
+
+    def test_class_of_exactly_half_pairs(self):
+        topo = _labelled((4, 1, 1, 2))
+        stream = make_stream(StreamSpec(19, 0))
+        for _ in range(50):
             pairing, _ = assign_pairs(topo, stream)
-            observed.append(
-                np.linalg.norm(topo.positions - topo.positions[pairing], axis=1)
-            )
-        observed = np.concatenate(observed)
-        diffs = topo.positions[:, None, :] - topo.positions[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        cross_cell = topo.cell_of[:, None] != topo.cell_of[None, :]
-        reference = dist[cross_cell & (dist > 0)]
-        result = stats.ks_2samp(observed, reference)
-        assert result.pvalue > 0.01
+            _assert_admissible(pairing, topo.cell_of)
+            # Hall's condition is tight: every node outside cell 0 must
+            # send to cell 0, or some node of cell 0 would have no sender.
+            assert np.all(topo.cell_of[pairing[4:]] == 0)
+
+    def test_class_over_half_raises_with_reason(self):
+        stream = make_stream(StreamSpec(20, 0))
+        with pytest.raises(RuntimeError, match="cell 1 holds 5 of 9 nodes, more than n/2"):
+            assign_pairs(_labelled((2, 5, 2)), stream)
+
+    def test_single_node_derangement_raises(self):
+        topo = Topology(area_side=1.0, positions=np.zeros((1, 2)))
+        stream = make_stream(StreamSpec(21, 0))
+        with pytest.raises(RuntimeError, match="node 0 holds 1 of 1 nodes"):
+            assign_pairs(topo, stream, forbid_same_cell=False)
+
+    def test_derangement_without_cells(self):
+        topo = Topology(area_side=1.0, positions=np.zeros((5, 2)))
+        stream = make_stream(StreamSpec(22, 0))
+        for _ in range(20):
+            pairing, _ = assign_pairs(topo, stream, forbid_same_cell=False)
+            _assert_admissible(pairing, np.arange(5))
+
+    def test_draws_only_permutations_and_uniforms(self):
+        class Recorder:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, set()
+
+            def permutation(self, n):
+                self.calls.add("permutation")
+                return self.gen.permutation(n)
+
+            def random(self, size):
+                self.calls.add("random")
+                return self.gen.random(size)
+
+        topo, stream = _topology(seed=23)
+        recorder = Recorder(stream)
+        pairing, rejected = assign_pairs(topo, recorder)
+        _assert_admissible(pairing, topo.cell_of)
+        assert recorder.calls == {"permutation", "random"}
+        sweeps = 3 * math.ceil(math.log2(topo.n)) + 32
+        assert 0 < rejected < sweeps * (topo.n // 2 + topo.n // 3)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [p for n in range(3, 8) for p in _occupancy_patterns(n, n // 2)],
+        ids=lambda p: "-".join(map(str, p)),
+    )
+    def test_exactly_uniform_over_admissible_pairings(self, pattern):
+        # Every admissible pairing of a small occupancy pattern is drawn
+        # equally often; a walk that cannot reach some pairings, or has not
+        # forgotten its start, fails the chi-square test.
+        topo = _labelled(pattern)
+        n = topo.n
+        admissible = [
+            p for p in itertools.permutations(range(n))
+            if all(topo.cell_of[p[i]] != topo.cell_of[i] for i in range(n))
+        ]
+        index = {p: k for k, p in enumerate(admissible)}
+        stream = make_stream(StreamSpec(24, int("".join(map(str, pattern)))))
+        counts = np.zeros(len(admissible))
+        for _ in range(1000):
+            pairing, _ = assign_pairs(topo, stream)
+            counts[index[tuple(pairing.tolist())]] += 1
+        assert stats.chisquare(counts).pvalue > 1e-3
 
 
 class TestTdmaGroups:
@@ -202,6 +367,83 @@ class TestProtocolModel:
         assert v.d_interferer == pytest.approx(
             np.linalg.norm(pos[v.receiver] - pos[v.interferer])
         )
+
+    @pytest.mark.parametrize("gamma", [GUARD_ZONE_LIMIT, 0.6, 1.5, 3.0])
+    def test_matches_reference_on_random_topologies(self, gamma):
+        stream = make_stream(StreamSpec(11, 0))
+        shapes = [(36, 4), (64, 4), (100, 4), (144, 16)]
+        found = 0
+        for k in range(1000):
+            n, m = shapes[k % len(shapes)]
+            grid = build_cells(n, m, 1.0)
+            topo = place_nodes(n, 1.0, stream).with_cells(grid)
+            groups = tdma_groups(grid).groups
+            link_sets = [same_cell_transmissions(topo, g) for g in groups]
+            if k % 10 == 0:
+                # Every cell at once: adjacent cells interfere.
+                link_sets.append(same_cell_transmissions(topo, range(grid.num_cells)))
+            for links in link_sets:
+                got = check_protocol_model(topo, links, gamma)
+                _same_violations(got, _reference_check_protocol_model(topo, links, gamma))
+                found += len(got)
+        assert found > 0
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_matches_reference_on_links_with_repeated_transmitters(self, monkeypatch, block):
+        # Random (tx, rx) lists drawn with replacement repeat transmitters and
+        # receivers; block sizes that split a row or leave one short block
+        # must not change the order.
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        stream = make_stream(StreamSpec(12, 0))
+        topo = place_nodes(40, 1.0, stream)
+        for size in [1, 2, 3, 17, 90]:
+            for _ in range(5):
+                tx = stream.integers(0, 40, size)
+                rx = (tx + stream.integers(1, 40, size)) % 40
+                links = list(zip(tx.tolist(), rx.tolist()))
+                for gamma in [0.0, GUARD_ZONE_LIMIT, 3.0]:
+                    got = check_protocol_model(topo, links, gamma)
+                    _same_violations(got, _reference_check_protocol_model(topo, links, gamma))
+
+    def test_empty_link_list(self):
+        topo, _ = _topology(seed=13)
+        assert check_protocol_model(topo, [], 3.0) == []
+
+    def test_corner_witness_matches_reference(self):
+        topo, transmissions = corner_case_witness()
+        for gamma in [GUARD_ZONE_LIMIT, GUARD_ZONE_LIMIT + 0.05, 3.0]:
+            _same_violations(
+                check_protocol_model(topo, transmissions, gamma),
+                _reference_check_protocol_model(topo, transmissions, gamma),
+            )
+
+    def test_coinciding_link_error_names_first_such_link(self):
+        topo, _ = _topology(seed=14)
+        links = [(1, 2), (5, 5), (3, 3)]
+        with pytest.raises(ValueError) as want:
+            _reference_check_protocol_model(topo, links, 0.5)
+        with pytest.raises(ValueError, match="transmitter and receiver coincide: node 5") as got:
+            check_protocol_model(topo, links, 0.5)
+        assert str(got.value) == str(want.value)
+
+    def test_same_cell_transmissions_match_reference(self):
+        stream = make_stream(StreamSpec(15, 0))
+        sparse_cells = 0
+        for n, m in [(36, 4), (64, 4), (16, 1), (144, 16)]:
+            grid = build_cells(n, m, 1.0)
+            for _ in range(50):
+                topo = place_nodes(n, 1.0, stream).with_cells(grid)
+                counts = np.bincount(topo.cell_of, minlength=grid.num_cells)
+                sparse_cells += int(np.count_nonzero(counts < 2))
+                everything = list(range(grid.num_cells))
+                # Empty and single-node cells, repeats, and an id past the grid.
+                cell_lists = [g for g in tdma_groups(grid).groups]
+                cell_lists += [everything, everything[::-1] + [0, grid.num_cells], []]
+                for cells in cell_lists:
+                    assert same_cell_transmissions(topo, cells) == (
+                        _reference_same_cell_transmissions(topo, cells)
+                    )
+        assert sparse_cells > 0
 
     def test_rejects_negative_gamma(self):
         topo, transmissions = corner_case_witness()
