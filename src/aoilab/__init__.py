@@ -39,7 +39,6 @@ from .scheme import (
     integrate_age_timeline,
     merge_summaries,
     sample_coupled_sessions,
-    sample_delivery,
     sample_round_robin,
     sample_session_exact,
     sample_session_worsened,
@@ -70,7 +69,6 @@ __all__ = [
     "order_stat_moments",
     "phase_moments",
     "sample_coupled_sessions",
-    "sample_delivery",
     "sample_exp",
     "sample_max_exp",
     "sample_min_exp",

@@ -134,7 +134,8 @@ class SimulationRun:
     """Column store of simulated sessions plus per-batch moment summaries.
 
     Sessions appear in session order; ``batch_summaries[i]`` covers
-    sessions ``[i * batch_size, (i+1) * batch_size)``.
+    sessions ``[i * batch_size, (i+1) * batch_size)``, except that a
+    remainder of fewer than 32 sessions joins the last batch.
     """
 
     variant: Variant
@@ -165,24 +166,56 @@ class SimulationRun:
 # ---------------------------------------------------------------------------
 
 
+# Phase two draws m gamma quantiles instead of one uniform per cell once the
+# cells outnumber m by this factor.  A quantile costs about 1 us and a
+# per-cell uniform about 22 ns (fill plus max-exp transform); on a 2-vCPU
+# x86-64 VM a whole m = 8 session costs the same both ways at 48 m cells.
+_GAMMA_PHASE_TWO_RATIO = 48
+
+
+def _phase_two_width(params: SchemeParams) -> int:
+    """Uniforms phase two draws: ``m`` when ``cells >= 48 m``, else ``cells``."""
+    m, cells = params.m, params.cells
+    return m if cells >= _GAMMA_PHASE_TWO_RATIO * m else cells
+
+
+def _phase_two(u2: np.ndarray, params: SchemeParams) -> np.ndarray:
+    """Phase-two duration from the last axis of ``u2``.
+
+    Phase two sums, over the cells, the max of m exponentials at rate
+    r = m^2 lambda_inter.  A ``cells``-wide input draws each cell's max
+    from one uniform.  An ``m``-wide input uses Renyi's representation
+    max_i E_i = sum_k E'_k / k: summed over the cells it gives
+    (1/r) sum_k G_k / k with G_k i.i.d. Gamma(cells), each G_k the gamma
+    quantile of one uniform.  Both inputs give the same law.
+    """
+    m, cells = params.m, params.cells
+    rate = m * m * params.lambda_inter
+    if u2.shape[-1] == cells:
+        return max_exp_from_uniform(u2, m, rate).sum(axis=-1)
+    g = gammaincinv(cells, np.maximum(u2, _TINY_UNIFORM))
+    g /= np.arange(1, m + 1)
+    return g.sum(axis=-1) / rate
+
+
 def _worsened_width(params: SchemeParams) -> int:
-    return 2 * params.m + params.cells + 3
+    return 2 * params.m + _phase_two_width(params) + 3
 
 
 def _worsened_kernel(u: np.ndarray, params: SchemeParams, mode: DeliveryMode) -> dict:
     n, m, cells = params.n, params.m, params.cells
     lam = params.lambda_intra
-    lam_t = params.lambda_inter
+    w2 = _phase_two_width(params)
 
     u1 = u[:, :m]
-    u2 = u[:, m : m + cells]
-    u3 = u[:, m + cells : m + cells + m]
+    u2 = u[:, m : m + w2]
+    u3 = u[:, m + w2 : m + w2 + m]
     ju = u[:, -3]
     ua = u[:, -2]
     ub = u[:, -1]
 
     y1 = max_exp_from_uniform(u1, n, lam).sum(axis=1)
-    y2 = max_exp_from_uniform(u2, m, m * m * lam_t).sum(axis=1)
+    y2 = _phase_two(u2, params)
     rounds = max_exp_from_uniform(u3, cells, lam)  # (sessions, m)
 
     j = np.minimum((ju * m).astype(np.int64), m - 1)
@@ -211,13 +244,13 @@ def _worsened_kernel(u: np.ndarray, params: SchemeParams, mode: DeliveryMode) ->
 
 def _exact_width(params: SchemeParams) -> int:
     p1 = 0 if params.m == 1 else params.n
-    return p1 + params.cells + params.n + 1
+    return p1 + _phase_two_width(params) + params.n + 1
 
 
 def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
     n, m, cells = params.n, params.m, params.cells
     lam = params.lambda_intra
-    lam_t = params.lambda_inter
+    w2 = _phase_two_width(params)
     sessions = u.shape[0]
 
     p1 = 0 if m == 1 else n
@@ -228,11 +261,10 @@ def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
         cell_totals = max_exp_from_uniform(u1, m - 1, lam).sum(axis=2)
         y1 = cell_totals.max(axis=1)
 
-    u2 = u[:, p1 : p1 + cells]
-    y2 = max_exp_from_uniform(u2, m, m * m * lam_t).sum(axis=1)
+    y2 = _phase_two(u[:, p1 : p1 + w2], params)
 
     relays = exp_from_uniform(
-        u[:, p1 + cells : p1 + cells + n].reshape(sessions, cells, m), lam
+        u[:, p1 + w2 : p1 + w2 + n].reshape(sessions, cells, m), lam
     )
     # Per-cell totals come from the same running sums as z below, so
     # z <= y3 holds exactly in floating point.
@@ -284,8 +316,8 @@ def sample_session_worsened(
     """Draw one worsened session.
 
     Phase one sums m rounds of max-of-n draws, phase two sums n/m per-cell
-    maxima of m rate-(m^2 lambda_inter) draws, phase three sums m rounds of
-    max-of-(n/m) draws.
+    maxima of m rate-(m^2 lambda_inter) draws (see :func:`_phase_two`),
+    phase three sums m rounds of max-of-(n/m) draws.
     """
     u = stream.random(_worsened_width(params))[None, :]
     cols = _worsened_kernel(u, params, mode)
@@ -336,7 +368,6 @@ def sample_coupled_sessions(
     if m < 2:
         raise ValueError("coupled sampling needs m >= 2 (phase one is empty at m = 1)")
     lam = params.lambda_intra
-    lam_t = params.lambda_inter
 
     # Phase one: m rounds x cells x (m - 1) receivers, plus one top-up max
     # per round covering the n - cells*(m-1) = n/m draws the bound adds.
@@ -347,7 +378,7 @@ def sample_coupled_sessions(
     exact_y1 = float(pool1.max(axis=2).sum(axis=0).max())
 
     # Phase two is shared verbatim (it is not worsened).
-    y2 = float(max_exp_from_uniform(stream.random(cells), m, m * m * lam_t).sum())
+    y2 = float(_phase_two(stream.random(_phase_two_width(params)), params))
 
     # Phase three: m rounds x cells, one relay per cell per round.  Totals
     # are taken from running sums so each z <= y3 exactly in floating point.
@@ -382,43 +413,6 @@ def sample_coupled_sessions(
     return exact, worsened
 
 
-def sample_delivery(
-    params: SchemeParams,
-    stream: np.random.Generator,
-    y3_partials: Sequence[float],
-    mode: DeliveryMode = DeliveryMode.INDEPENDENT,
-) -> float:
-    """Residual delivery wait z given a session's phase-three rounds.
-
-    ``y3_partials`` holds the m inclusive cumulative round durations
-    c_1 <= ... <= c_m of the same (worsened) session.  The tagged packet is
-    relayed in round j+1 with j uniform on {0, ..., m-1}; z adds the j full
-    rounds before it plus the final hop.  ``independent`` draws that hop
-    fresh; ``coupled`` conditions it on round j+1's max (it is that round's
-    max with probability m/n, else truncated below it), so z never exceeds
-    the session's remaining phase-three time.
-    """
-    partials = np.asarray(y3_partials, dtype=float)
-    if partials.shape != (params.m,):
-        raise ValueError(
-            f"y3_partials must have exactly m={params.m} entries, got shape {partials.shape}"
-        )
-    lam = params.lambda_intra
-    m = params.m
-    j = min(int(stream.random() * m), m - 1)
-    wait = 0.0 if j == 0 else float(partials[j - 1])
-    if mode == DeliveryMode.INDEPENDENT:
-        return wait + float(exp_from_uniform(stream.random(), lam))
-    round_len = float(partials[j] - wait)
-    k = params.cells
-    if stream.random() < 1.0 / k:
-        own = round_len
-    else:
-        v = stream.random()
-        own = float(-np.log1p(v * np.expm1(-lam * round_len)) / lam)
-    return wait + own
-
-
 def sample_round_robin(
     n: int, rate: float, stream: np.random.Generator
 ) -> SessionSample:
@@ -445,13 +439,18 @@ def sample_round_robin(
 _COLUMNS = ("y1", "y2", "y3", "z", "d", "y")
 
 
+# Fewest sessions a batch holds when the run has more: each batch's ratio
+# estimate d + y^2 / (2 y) feeds the batch-means standard error.
+_MIN_BATCH = 32
+
+
 def _default_batch_size(width: int, sessions: int) -> int:
     # Aim for 32 batches (the default batch-means resolution) but cap each
     # uniform buffer near 32 MiB.  Depends only on the layout and session
     # count, so batch boundaries (and hence all floating-point groupings)
     # are identical for every worker count.
     memory_cap = min(65536, max(256, (1 << 22) // width))
-    return int(max(1, min(-(-sessions // 32), memory_cap)))
+    return int(max(min(sessions, _MIN_BATCH), min(-(-sessions // 32), memory_cap)))
 
 
 def _run_batch(args) -> tuple[int, dict, MomentSummary]:
@@ -482,10 +481,14 @@ def _run_batches(
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
     stream_window(base_stream_index, sessions, width)  # raises before allocating
+    starts = list(range(0, sessions, batch_size))
+    if len(starts) > 1 and sessions - starts[-1] < _MIN_BATCH:
+        starts.pop()  # a short remainder joins the batch before it
+    stops = starts[1:] + [sessions]
     tasks = [
         (kind, spec, variant, mode, width, master_seed, base_stream_index, start,
-         min(batch_size, sessions - start))
-        for start in range(0, sessions, batch_size)
+         stop - start)
+        for start, stop in zip(starts, stops)
     ]
     if workers > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")

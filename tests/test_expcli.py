@@ -155,6 +155,14 @@ class TestRunSweep:
         assert all(stop > start for start, stop in windows)
         assert all(a[1] <= b[0] for a, b in zip(windows, windows[1:]))
 
+    def test_quarter_exponent_beyond_2_16(self):
+        # Phase two draws m gamma quantiles here, so rows stay 51 and 99 wide.
+        config = SweepConfig(n_grid=(2**18, 2**20), b=0.25, sessions=10_000, master_seed=18)
+        rows = run_sweep(config, timing=False)
+        assert [row.m for row in rows] == [16, 32]
+        for row in rows:
+            assert abs(row.delta_sim - row.delta_analytic) < 5 * row.delta_sim_stderr
+
     def test_timeline_column_only_for_coupled(self):
         base = dict(n_grid=(64,), sessions=1000, master_seed=2)
         independent = run_sweep(SweepConfig(**base), timing=False)[0]

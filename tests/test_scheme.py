@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import expon, ks_2samp, kstest
 
 from aoilab import (
     DeliveryMode,
@@ -17,7 +18,6 @@ from aoilab import (
     merge_summaries,
     phase_moments,
     sample_coupled_sessions,
-    sample_delivery,
     sample_round_robin,
     sample_session_exact,
     sample_session_worsened,
@@ -28,6 +28,8 @@ from aoilab.sampling import session_stream
 from aoilab.scheme import (
     SessionSample,
     _exact_width,
+    _phase_two,
+    _phase_two_width,
     _round_robin_kernel,
     _worsened_width,
 )
@@ -194,44 +196,93 @@ class TestCoupledSessions:
             sample_coupled_sessions(SchemeParams(8, 1), make_stream(StreamSpec(0, 0)))
 
 
-class TestSampleDelivery:
+def _worsened_sessions(params, seed, count, mode=DeliveryMode.INDEPENDENT):
+    stream = make_stream(StreamSpec(seed, 0))
+    return [sample_session_worsened(params, stream, mode) for _ in range(count)]
+
+
+class TestWorsenedDelivery:
+    """The delivery wait z of the kernel, drawn through the scalar sampler."""
+
     def test_m1_is_fresh_exponential(self):
+        # At m = 1 the tagged packet goes in the only round, so z is its
+        # own final hop: Exp(lambda_intra) in both delivery modes.
         params = SchemeParams(8, 1, lambda_intra=2.0)
-        stream = make_stream(StreamSpec(401, 0))
-        draws = np.array(
-            [sample_delivery(params, stream, [1.0]) for _ in range(100_000)]
-        )
-        assert abs(draws.mean() - 0.5) < 4 * _se(draws)
+        for seed, mode in ((401, DeliveryMode.INDEPENDENT), (402, DeliveryMode.COUPLED)):
+            z = np.array([s.z for s in _worsened_sessions(params, seed, 10_000, mode)])
+            assert abs(z.mean() - 0.5) < 4 * _se(z), mode
+            assert kstest(z, expon(scale=0.5).cdf).pvalue > 1e-3, mode
 
     def test_independent_mean_matches_closed_form(self):
-        from aoilab.sampling import max_exp_from_uniform
-
         params = SchemeParams(64, 4)
-        stream = make_stream(StreamSpec(402, 0))
-        k = params.cells
-        round_draws = max_exp_from_uniform(stream.random((50_000, params.m)), k, 1.0)
-        partials = np.cumsum(round_draws, axis=1)
-        zs = np.array(
-            [sample_delivery(params, stream, partials[i]) for i in range(partials.shape[0])]
-        )
-        expected = (params.m - 1) / 2.0 * harmonic(k) + 1.0
-        assert abs(zs.mean() - expected) < 4 * _se(zs)
+        z = np.array([s.z for s in _worsened_sessions(params, 403, 20_000)])
+        assert abs(z.mean() - phase_moments(params).e_z) < 4 * _se(z)
 
     def test_coupled_never_exceeds_remaining_rounds(self):
         params = SchemeParams(64, 4)
-        stream = make_stream(StreamSpec(404, 0))
-        from aoilab.sampling import max_exp_from_uniform
+        for s in _worsened_sessions(params, 404, 10_000, DeliveryMode.COUPLED):
+            assert s.z <= s.y3
+            assert s.d <= s.y
 
-        round_draws = max_exp_from_uniform(stream.random((10_000, params.m)), params.cells, 1.0)
-        partials = np.cumsum(round_draws, axis=1)
-        for i in range(partials.shape[0]):
-            z = sample_delivery(params, stream, partials[i], mode=DeliveryMode.COUPLED)
-            assert z <= partials[i, -1]
 
-    def test_rejects_wrong_length(self):
-        params = SchemeParams(64, 4)
-        with pytest.raises(ValueError):
-            sample_delivery(params, make_stream(StreamSpec(0, 0)), [1.0, 2.0])
+class TestPhaseTwo:
+    """Phase two drawn per cell and from m gamma quantiles (Renyi)."""
+
+    @pytest.mark.parametrize("n, m", [(64, 4), (64, 1)])
+    def test_gamma_quantiles_match_per_cell_law(self, n, m):
+        params = SchemeParams(n, m)
+        per_cell = _phase_two(make_stream(StreamSpec(411, 0)).random((200_000, n // m)), params)
+        gamma = _phase_two(make_stream(StreamSpec(412, 0)).random((200_000, m)), params)
+        assert ks_2samp(per_cell, gamma).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(16384, 8, 413), (2**20, 32, 414)]
+    )
+    def test_gamma_path_moments_match_closed_forms(self, n, m, seed):
+        params = SchemeParams(n, m)
+        assert _phase_two_width(params) == m
+        run = simulate_sessions(params, 100_000, master_seed=seed)
+        pm = phase_moments(params)
+        for arr, expected in ((run.y2, pm.e_y2), (run.y2**2, pm.e_y2_sq)):
+            assert abs(arr.mean() - expected) < 4 * _se(arr)
+
+    def test_widths(self):
+        # The gamma path starts at 48 m cells; below it a row is unchanged.
+        assert _worsened_width(SchemeParams(1024, 8)) == 147
+        assert _worsened_width(SchemeParams(65536, 16)) == 51
+        assert _phase_two_width(SchemeParams(48 * 8 * 8, 8)) == 8
+        assert _phase_two_width(SchemeParams(47 * 8 * 8, 8)) == 47 * 8
+        assert _exact_width(SchemeParams(4096, 8)) == 4096 + 8 + 4096 + 1
+
+    def test_gamma_path_sessions_replay(self):
+        params = SchemeParams(4096, 8)
+        cases = [(Variant.WORSENED, mode) for mode in DeliveryMode]
+        for variant, mode in cases + [(Variant.EXACT, DeliveryMode.INDEPENDENT)]:
+            run = simulate_sessions(
+                params, 96, variant=variant, delivery=mode, master_seed=415,
+                base_stream_index=2, batch_size=32,
+            )
+            for s in (0, 32, 95):
+                if variant == Variant.WORSENED:
+                    stream = session_stream(415, 2, s, _worsened_width(params))
+                    sample = sample_session_worsened(params, stream, mode)
+                else:
+                    stream = session_stream(415, 2, s, _exact_width(params))
+                    sample = sample_session_exact(params, stream)
+                assert sample.y2 == run.y2[s]
+                assert sample.y == run.y[s]
+                assert sample.d == run.d[s]
+
+    def test_coupled_sessions_keep_pathwise_bounds(self):
+        params = SchemeParams(4096, 8)
+        stream = make_stream(StreamSpec(416, 0))
+        for _ in range(300):
+            exact, worsened = sample_coupled_sessions(params, stream)
+            assert exact.y2 == worsened.y2
+            assert exact.y1 <= worsened.y1
+            assert exact.y3 <= worsened.y3
+            assert exact.d <= exact.y
+            assert worsened.d <= worsened.y
 
 
 class TestMomentSummary:
@@ -405,11 +456,22 @@ class TestSimulateSessions:
         with pytest.raises(ValueError, match="counter ticks"):
             simulate_round_robin(1024, 1.0, 2**40)
 
-    def test_arrays_bitwise_stable_across_workers(self):
+    def test_default_batches_hold_at_least_32_sessions(self):
         params = SchemeParams(64, 4)
-        runs = [
-            simulate_sessions(params, 8_000, master_seed=11, workers=w, batch_size=512)
-            for w in (1, 4)
-        ]
-        for col in ("y1", "y2", "y3", "z", "d", "y"):
-            assert np.array_equal(getattr(runs[0], col), getattr(runs[1], col))
+        few = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=12)
+        assert [s.count for s in few.batch_summaries] == [16]
+        assert np.isnan(estimate_age_moment_formula(few.batch_summaries).std_err)
+        run = simulate_sessions(params, 100, variant=Variant.EXACT, master_seed=12)
+        counts = [s.count for s in run.batch_summaries]
+        assert sum(counts) == 100 and min(counts) >= 32
+        assert estimate_age_moment_formula(run.batch_summaries).std_err > 0
+
+    def test_arrays_bitwise_stable_across_workers(self):
+        # (4096, 8) draws phase two from gamma quantiles.
+        for params in (SchemeParams(64, 4), SchemeParams(4096, 8)):
+            runs = [
+                simulate_sessions(params, 8_000, master_seed=11, workers=w, batch_size=512)
+                for w in (1, 4)
+            ]
+            for col in ("y1", "y2", "y3", "z", "d", "y"):
+                assert np.array_equal(getattr(runs[0], col), getattr(runs[1], col))
