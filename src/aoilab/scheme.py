@@ -23,10 +23,11 @@ independent of worker count and any session replays through
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -446,29 +447,15 @@ _MIN_BATCH = 32
 
 def _default_batch_size(width: int, sessions: int) -> int:
     # Aim for 32 batches (the default batch-means resolution) but cap each
-    # uniform buffer near 32 MiB.  Depends only on the layout and session
-    # count, so batch boundaries (and hence all floating-point groupings)
-    # are identical for every worker count.
+    # uniform buffer near 32 MiB; every worker thread holds one such buffer.
+    # Depends only on the layout and session count, so batch boundaries (and
+    # hence all floating-point groupings) are identical for every worker count.
     memory_cap = min(65536, max(256, (1 << 22) // width))
     return int(max(min(sessions, _MIN_BATCH), min(-(-sessions // 32), memory_cap)))
 
 
-def _run_batch(args) -> tuple[int, dict, MomentSummary]:
-    kind, spec, variant, mode, width, seed, base_index, start, count = args
-    u = fill_stream_rows(seed, base_index, start, count, width)
-    if kind == "round_robin":
-        n, rate = spec
-        cols = _round_robin_kernel(u, n, rate)
-    elif variant == Variant.WORSENED:
-        cols = _worsened_kernel(u, spec, mode)
-    else:
-        cols = _exact_kernel(u, spec)
-    return start, cols, MomentSummary.from_arrays(cols["y"], cols["d"])
-
-
 def _run_batches(
-    kind: str,
-    spec,
+    kernel: Callable[[np.ndarray], dict],
     variant: Variant,
     mode: DeliveryMode,
     width: int,
@@ -478,6 +465,15 @@ def _run_batches(
     workers: int,
     batch_size: int,
 ) -> SimulationRun:
+    """Fill and run ``kernel`` (uniform rows -> columns) batch by batch.
+
+    Each batch writes its columns into its own slice of the run's arrays and
+    returns its summary.  Batches run on up to ``workers`` threads of this
+    process (the fill and the kernels release the GIL), or inline on the
+    caller's thread when only one would run.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
     stream_window(base_stream_index, sessions, width)  # raises before allocating
@@ -485,25 +481,21 @@ def _run_batches(
     if len(starts) > 1 and sessions - starts[-1] < _MIN_BATCH:
         starts.pop()  # a short remainder joins the batch before it
     stops = starts[1:] + [sessions]
-    tasks = [
-        (kind, spec, variant, mode, width, master_seed, base_stream_index, start,
-         stop - start)
-        for start, stop in zip(starts, stops)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(tasks))) as pool:
-            results = pool.map(_run_batch, tasks)
-    else:
-        results = [_run_batch(t) for t in tasks]
-
     out = {name: np.empty(sessions) for name in _COLUMNS}
-    summaries: list[MomentSummary] = []
-    for start, cols, summary in results:  # pool.map preserves task order
-        stop = start + cols["y"].size
+
+    def run_batch(start: int, stop: int) -> MomentSummary:
+        u = fill_stream_rows(master_seed, base_stream_index, start, stop - start, width)
+        cols = kernel(u)
         for name in _COLUMNS:
             out[name][start:stop] = cols[name]
-        summaries.append(summary)
+        return MomentSummary.from_arrays(cols["y"], cols["d"])
+
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            summaries = list(pool.map(run_batch, starts, stops))  # in batch order
+    else:
+        summaries = list(map(run_batch, starts, stops))
     return SimulationRun(
         variant=variant,
         delivery=mode,
@@ -535,18 +527,25 @@ def simulate_sessions(
     counter window in the block of ``base_stream_index``, and
     ``session_stream(master_seed, base_stream_index, s, width)`` replays it.
 
-    Worker parallelism splits whole batches; batch boundaries and the
-    reduction order are fixed, so outputs are bit-identical for any
-    ``workers``.
+    ``workers`` threads of this process split whole batches (one worker
+    runs them on the caller's thread); each holds one batch of uniforms,
+    capped near 32 MiB, at a time.  Batch boundaries and the reduction
+    order are fixed, so outputs are bit-identical for any ``workers``.
     """
     variant = Variant(variant)
     delivery = DeliveryMode(delivery)
     if variant == Variant.ROUND_ROBIN:
         raise ValueError("use simulate_round_robin for the baseline")
+
+    def kernel(u: np.ndarray) -> dict:
+        if variant == Variant.WORSENED:
+            return _worsened_kernel(u, params, delivery)
+        return _exact_kernel(u, params)
+
     width = _worsened_width(params) if variant == Variant.WORSENED else _exact_width(params)
     bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
     return _run_batches(
-        "scheme", params, variant, delivery, width, sessions,
+        kernel, variant, delivery, width, sessions,
         master_seed, base_stream_index, workers, bs,
     )
 
@@ -566,11 +565,12 @@ def simulate_round_robin(
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
+    n, rate = int(n), float(rate)
     width = _ROUND_ROBIN_WIDTH
     bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
     return _run_batches(
-        "round_robin", (int(n), float(rate)), Variant.ROUND_ROBIN, DeliveryMode.COUPLED,
-        width, sessions, master_seed, base_stream_index, workers, bs,
+        lambda u: _round_robin_kernel(u, n, rate), Variant.ROUND_ROBIN,
+        DeliveryMode.COUPLED, width, sessions, master_seed, base_stream_index, workers, bs,
     )
 
 

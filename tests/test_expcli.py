@@ -277,6 +277,21 @@ class TestCli:
         assert main(["analyze", "--n", "10", "--m", "3"]) == 2
         assert main(["simulate", "--n", "8", "--m", "2", "--sessions", "0"]) == 2
 
+    def test_invalid_worker_count_exit_code(self, tmp_path, capsys):
+        code = main(["simulate", "--n", "64", "--m", "4", "--sessions", "1000", "--workers", "0"])
+        assert code == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        out_dir = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", "--n-grid", "64", "--sessions", "1000", "--workers", "-5",
+                "--no-timing", "--out", str(out_dir),
+            ]
+        )
+        assert code == 2
+        assert "workers must be >= 1, got -5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

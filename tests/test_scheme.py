@@ -1,5 +1,10 @@
 """Session samplers, coupling bounds, estimators, and the baseline."""
 
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import expon, ks_2samp, kstest
@@ -24,6 +29,7 @@ from aoilab import (
     simulate_round_robin,
     simulate_sessions,
 )
+from aoilab import scheme
 from aoilab.sampling import session_stream
 from aoilab.scheme import (
     SessionSample,
@@ -467,11 +473,132 @@ class TestSimulateSessions:
         assert estimate_age_moment_formula(run.batch_summaries).std_err > 0
 
     def test_arrays_bitwise_stable_across_workers(self):
-        # (4096, 8) draws phase two from gamma quantiles.
-        for params in (SchemeParams(64, 4), SchemeParams(4096, 8)):
-            runs = [
-                simulate_sessions(params, 8_000, master_seed=11, workers=w, batch_size=512)
-                for w in (1, 4)
-            ]
-            for col in ("y1", "y2", "y3", "z", "d", "y"):
-                assert np.array_equal(getattr(runs[0], col), getattr(runs[1], col))
+        # (4096, 8) draws phase two from gamma quantiles.  2500 sessions in
+        # batches of 512 and 300 in batches of 64 make 5 batches, which no
+        # worker count above 1 divides; 100 sessions make 32 + 32 + 36.
+        cases = [
+            lambda w: simulate_sessions(
+                SchemeParams(64, 4), 8_000, master_seed=11, workers=w, batch_size=512
+            ),
+            lambda w: simulate_sessions(
+                SchemeParams(4096, 8), 8_000, master_seed=11, workers=w, batch_size=512
+            ),
+            lambda w: simulate_sessions(
+                SchemeParams(4096, 8), 2_500, delivery=DeliveryMode.COUPLED,
+                master_seed=11, workers=w, batch_size=512,
+            ),
+            lambda w: simulate_sessions(
+                SchemeParams(4096, 8), 300, variant=Variant.EXACT,
+                master_seed=11, workers=w, batch_size=64,
+            ),
+            lambda w: simulate_sessions(
+                SchemeParams(64, 4), 100, variant=Variant.EXACT, master_seed=11, workers=w
+            ),
+            lambda w: simulate_round_robin(
+                1024, 1.0, 2_500, master_seed=11, workers=w, batch_size=512
+            ),
+        ]
+        batches = []
+        for case in cases:
+            runs = [case(w) for w in (1, 2, 4)]
+            batches.append(len(runs[0].batch_summaries))
+            for run in runs[1:]:
+                for col in ("y1", "y2", "y3", "z", "d", "y"):
+                    assert np.array_equal(getattr(runs[0], col), getattr(run, col))
+                assert run.batch_summaries == runs[0].batch_summaries
+        assert batches == [16, 16, 5, 5, 3, 5]
+
+    def test_rejects_invalid_worker_counts(self):
+        for workers in (0, -5):
+            match = f"workers must be >= 1, got {workers}"
+            with pytest.raises(ValueError, match=match):
+                simulate_sessions(SchemeParams(64, 4), 1000, workers=workers)
+            with pytest.raises(ValueError, match=match):
+                simulate_round_robin(64, 1.0, 1000, workers=workers)
+            # Refused before the columns of 2^40 sessions are allocated.
+            with pytest.raises(ValueError, match=match):
+                simulate_sessions(SchemeParams(65536, 16), 2**40, workers=workers)
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Thread counts of the executors ``_run_batches`` starts, on a machine
+    that reports 3 CPUs."""
+    started = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(scheme.os, "cpu_count", lambda: 3)
+    return started
+
+
+class TestBatchWorkers:
+    def test_threads_bounded_by_cpus_and_batches(self, executors):
+        params = SchemeParams(64, 4)
+        serial = simulate_sessions(params, 2000, master_seed=4)
+        assert len(serial.batch_summaries) == 32
+        wide = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
+        two = simulate_sessions(params, 64, master_seed=4, workers=10**6, batch_size=32)
+        assert executors == [3, 2]
+        for col in ("y1", "y2", "y3", "z", "d", "y"):
+            assert np.array_equal(getattr(serial, col), getattr(wide, col))
+        assert wide.batch_summaries == serial.batch_summaries
+        assert len(two.batch_summaries) == 2
+
+    def test_batch_error_reaches_caller_and_threads_end(self, executors, monkeypatch):
+        kernel = scheme._worsened_kernel
+
+        def failing(u, params, mode):
+            if u.shape[0] == 36:  # the last of batches 32 + 32 + 36
+                raise RuntimeError("kernel failed")
+            return kernel(u, params, mode)
+
+        monkeypatch.setattr(scheme, "_worsened_kernel", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            simulate_sessions(SchemeParams(64, 4), 100, workers=2)
+        assert executors == [2]
+        assert threading.active_count() == before
+
+    def test_batches_run_in_callers_process(self, executors, monkeypatch):
+        kernel = scheme._worsened_kernel
+        seen = []
+
+        def recording(u, params, mode):
+            seen.append((os.getpid(), threading.get_ident()))
+            return kernel(u, params, mode)
+
+        monkeypatch.setattr(scheme, "_worsened_kernel", recording)
+        caller = (os.getpid(), threading.get_ident())
+        params = SchemeParams(64, 4)
+        # One worker, or a single batch, runs inline on the caller's thread.
+        simulate_sessions(params, 2000, workers=1)
+        simulate_sessions(params, 16, workers=2)
+        assert seen == [caller] * 33
+        assert executors == []
+        seen.clear()
+        simulate_sessions(params, 2000, workers=2)
+        assert executors == [2]
+        assert len(seen) == 32
+        assert {pid for pid, _ in seen} == {os.getpid()}
+
+    def test_more_threads_than_cores_under_fast_switching(self, executors, monkeypatch):
+        # Eight threads on any machine, switching every microsecond: a batch
+        # writing outside its slice or a summary out of order would show.
+        monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
+        params = SchemeParams(256, 4)
+        serial = simulate_sessions(params, 4096, master_seed=6, batch_size=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate_sessions(params, 4096, master_seed=6, workers=8, batch_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert executors == [8]
+        for col in ("y1", "y2", "y3", "z", "d", "y"):
+            assert np.array_equal(getattr(serial, col), getattr(threaded, col))
+        assert threaded.batch_summaries == serial.batch_summaries
