@@ -25,7 +25,7 @@ import numpy as np
 
 TDMA_GROUPS = 9
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
-_PAIR_BLOCK = 4096  # link pairs per block of check_protocol_model
+_PAIR_BLOCK = 4096  # node pairs per block of the protocol and farthest-pair checks
 
 
 @dataclass(frozen=True)
@@ -257,30 +257,38 @@ def check_protocol_model(
 def same_cell_transmissions(
     topology: Topology, cells: tuple[int, ...] | list[int]
 ) -> list[tuple[int, int]]:
-    """One worst-case in-cell link per listed cell.
+    """One worst-case in-cell link per listed cell, in list order.
 
     For each cell holding at least two nodes, picks the farthest-apart node
-    pair (the longest own-link the protocol model could face).  Cells with
-    fewer than two nodes are skipped.
+    pair (the longest own-link the protocol model could face); of equally
+    far pairs, the first in row-major order of the cell's distance matrix
+    over ascending node ids.  Cells with fewer than two nodes are skipped.
+    Cells of equal occupancy k are handled together, in blocks of about
+    ``_PAIR_BLOCK`` node pairs.
     """
     if topology.cell_of is None:
         raise ValueError("topology has no cell assignment")
     order = np.argsort(topology.cell_of, kind="stable")
     sorted_cells = topology.cell_of[order]
     wanted = np.asarray(cells, dtype=sorted_cells.dtype)
-    starts = np.searchsorted(sorted_cells, wanted, side="left").tolist()
-    stops = np.searchsorted(sorted_cells, wanted, side="right").tolist()
-    out: list[tuple[int, int]] = []
-    for lo, hi in zip(starts, stops):
-        if hi - lo < 2:
-            continue
-        members = order[lo:hi]  # ascending node ids: the sort is stable
-        pts = topology.positions[members]
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        i, j = np.unravel_index(np.argmax(dist), dist.shape)
-        out.append((int(members[i]), int(members[j])))
-    return out
+    starts = np.searchsorted(sorted_cells, wanted, side="left")
+    sizes = np.searchsorted(sorted_cells, wanted, side="right") - starts
+    listed = np.flatnonzero(sizes >= 2)
+    first = np.empty(len(wanted), dtype=order.dtype)
+    second = np.empty(len(wanted), dtype=order.dtype)
+    for k in np.unique(sizes[listed]).tolist():
+        at = listed[sizes[listed] == k]
+        rows = max(1, _PAIR_BLOCK // (k * k))
+        for lo in range(0, len(at), rows):
+            block = at[lo : lo + rows]
+            # Ascending node ids per cell: the sort is stable.
+            members = order[starts[block, None] + np.arange(k)]
+            pts = topology.positions[members]
+            dist = _distances(pts[:, :, None, :] - pts[:, None, :, :])
+            i, j = np.divmod(dist.reshape(len(block), k * k).argmax(axis=1), k)
+            cell = np.arange(len(block))
+            first[block], second[block] = members[cell, i], members[cell, j]
+    return list(zip(first[listed].tolist(), second[listed].tolist()))
 
 
 def corner_case_witness(area: float = 1.0, cells_per_side: int = 5) -> tuple[Topology, list[tuple[int, int]]]:

@@ -37,6 +37,7 @@ from .sampling import (
     _TINY_UNIFORM,
     exp_from_uniform,
     fill_stream_rows,
+    gamma_from_uniform,
     max_exp_from_uniform,
     stream_window,
 )
@@ -168,9 +169,11 @@ class SimulationRun:
 
 
 # Phase two draws m gamma quantiles instead of one uniform per cell once the
-# cells outnumber m by this factor.  A quantile costs about 1 us and a
-# per-cell uniform about 22 ns (fill plus max-exp transform); on a 2-vCPU
-# x86-64 VM a whole m = 8 session costs the same both ways at 48 m cells.
+# cells outnumber m by this factor.  A table quantile costs about 40 ns and
+# a per-cell uniform about 25 ns (fill plus max-exp transform); on a 2-vCPU
+# x86-64 VM whole sessions at m = 4, 8 and 16 cost the same both ways at
+# 4-8 m cells.  The factor stays at 48, set for 1 us gammaincinv quantiles,
+# because lowering it changes the draws of points such as (1024, 8).
 _GAMMA_PHASE_TWO_RATIO = 48
 
 
@@ -188,13 +191,14 @@ def _phase_two(u2: np.ndarray, params: SchemeParams) -> np.ndarray:
     from one uniform.  An ``m``-wide input uses Renyi's representation
     max_i E_i = sum_k E'_k / k: summed over the cells it gives
     (1/r) sum_k G_k / k with G_k i.i.d. Gamma(cells), each G_k the gamma
-    quantile of one uniform.  Both inputs give the same law.
+    quantile of one uniform (:func:`aoilab.sampling.gamma_from_uniform`).
+    Both inputs give the same law.
     """
     m, cells = params.m, params.cells
     rate = m * m * params.lambda_inter
     if u2.shape[-1] == cells:
         return max_exp_from_uniform(u2, m, rate).sum(axis=-1)
-    g = gammaincinv(cells, np.maximum(u2, _TINY_UNIFORM))
+    g = gamma_from_uniform(u2, cells)
     g /= np.arange(1, m + 1)
     return g.sum(axis=-1) / rate
 

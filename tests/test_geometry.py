@@ -445,6 +445,16 @@ class TestProtocolModel:
                     )
         assert sparse_cells > 0
 
+    @pytest.mark.parametrize("n, m", [(10_000, 4), (10_000, 16), (400, 100)])
+    def test_same_cell_transmissions_match_reference_at_scale(self, n, m):
+        # Every TDMA group at n = 10^4; (400, 100) puts about 100 nodes in
+        # each cell, one cell per block of node pairs.
+        topo, _ = _topology(n=n, m=m, seed=16)
+        for group in tdma_groups(topo.grid).groups:
+            got = same_cell_transmissions(topo, group)
+            assert got == _reference_same_cell_transmissions(topo, group)
+            assert all(type(node) is int for link in got for node in link)
+
     def test_rejects_negative_gamma(self):
         topo, transmissions = corner_case_witness()
         with pytest.raises(ValueError):

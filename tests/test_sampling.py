@@ -1,15 +1,30 @@
 """Stream determinism, independence, and inverse-CDF samplers."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaincinv
 
-from aoilab import StreamSpec, harmonic, make_stream, sample_exp, sample_max_exp, sample_min_exp
+from aoilab import (
+    SchemeParams,
+    StreamSpec,
+    harmonic,
+    make_stream,
+    sample_exp,
+    sample_max_exp,
+    sample_min_exp,
+    simulate_sessions,
+)
+from aoilab import scheme
 from aoilab.sampling import (
     _TINY_UNIFORM,
     BLOCK_TICKS,
+    _gamma_quantile_table,
     exp_from_uniform,
     fill_stream_rows,
+    gamma_from_uniform,
     max_exp_from_uniform,
     min_exp_from_uniform,
     row_ticks,
@@ -210,3 +225,67 @@ class TestInPlaceTransforms:
             got = max_exp_from_uniform(x, 8, 2.0)
             assert np.ndim(got) == 0 and got == self._max_reference(np.float64(x), 8, 2.0)
             assert exp_from_uniform(x, 2.0) == self._exp_reference(np.float64(x), 2.0)
+
+
+class TestGammaFromUniform:
+    """The tabulated gamma quantile against scipy's iterative inverse."""
+
+    @staticmethod
+    def _uniforms(seed):
+        # Random uniforms plus both tails of the generator grid and u = 0.
+        k = np.arange(1, 54)
+        u = make_stream(StreamSpec(43, seed)).random(10**6)
+        return np.concatenate([u, 2.0**-k, 1 - 2.0**-k, [0.0]])
+
+    @pytest.mark.parametrize("shape", [48, 384, 512, 2048, 4096, 32768, 65536])
+    def test_matches_gammaincinv(self, shape):
+        u = self._uniforms(shape)
+        want = gammaincinv(shape, np.maximum(u, _TINY_UNIFORM))
+        got = gamma_from_uniform(u, shape)
+        assert np.max(np.abs(got / want - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [16, 48, 4096, 65536])
+    def test_non_decreasing_on_sorted_uniforms(self, shape):
+        # Checked at sample spacing: ndtri and gammaincinv themselves step
+        # back by an ulp between some neighbouring grid points.
+        u = np.sort(self._uniforms(shape + 1))
+        assert np.all(np.diff(gamma_from_uniform(u, shape)) >= 0)
+
+    @pytest.mark.parametrize("shape", [15, 8, 1, 0, -3])
+    def test_small_shapes_raise_naming_the_limit(self, shape):
+        with pytest.raises(ValueError, match="shape >= 16"):
+            gamma_from_uniform(np.array([0.5]), shape)
+
+    def test_scalars_views_and_input_untouched(self):
+        u = make_stream(StreamSpec(44, 0)).random((64, 9))
+        u[0, 2] = 0.0
+        before = u.copy()
+        view = u[:, 2:7]
+        got = gamma_from_uniform(view, 384)
+        assert got.shape == view.shape
+        assert np.array_equal(got, gamma_from_uniform(np.ascontiguousarray(view), 384))
+        assert np.array_equal(u, before)
+        for x in (0.0, 0.25):
+            one = gamma_from_uniform(x, 384)
+            assert np.ndim(one) == 0 and one == gamma_from_uniform(np.array([x]), 384)[0]
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            _gamma_quantile_table(384)[0, 0] = 0.0
+
+    def test_first_build_on_threads_is_bit_identical(self, monkeypatch):
+        # Four threads on any machine, switching every microsecond, each
+        # building the cleared table for its first batch at once.
+        monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        params = SchemeParams(4096, 8)
+        _gamma_quantile_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate_sessions(params, 512, master_seed=45, workers=4, batch_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = simulate_sessions(params, 512, master_seed=45, batch_size=64)
+        for col in ("y1", "y2", "y3", "z", "d", "y"):
+            assert np.array_equal(getattr(threaded, col), getattr(serial, col))
+        assert threaded.batch_summaries == serial.batch_summaries
