@@ -39,7 +39,6 @@ from .scheme import (
     integrate_age_timeline,
     merge_summaries,
     sample_coupled_sessions,
-    sample_round_robin,
     sample_session_exact,
     sample_session_worsened,
     simulate_round_robin,
@@ -72,7 +71,6 @@ __all__ = [
     "sample_exp",
     "sample_max_exp",
     "sample_min_exp",
-    "sample_round_robin",
     "sample_session_exact",
     "sample_session_worsened",
     "scaling_exponent",

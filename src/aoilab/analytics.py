@@ -8,7 +8,6 @@ moments of exponential order statistics, per-phase moments of the
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,73 +17,26 @@ from .params import SchemeParams
 EULER_GAMMA = 0.5772156649015329
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
 
-# Exact prefix tables are grown on demand up to this many terms; beyond it
-# the asymptotic expansions take over (their error is far below 1e-12 there).
-TABLE_CAP = 10_000_000
-
-_CHUNK = 1 << 16
-_lock = threading.Lock()
-_h_table = np.zeros(1)  # _h_table[k] = H_k = sum_{j<=k} 1/j
-_g_table = np.zeros(1)  # _g_table[k] = G_k = sum_{j<=k} 1/j**2
-
-
-def _extend_table(table: np.ndarray, target: int, power: int) -> np.ndarray:
-    """Append exact partial sums of 1/j**power for j up to ``target``.
-
-    Terms are accumulated in ascending order.  Within a chunk the partial
-    sums start from zero, so their rounding error is tiny relative to the
-    chunk total; chunk bases are carried in compensated (hi, lo) form.
-    """
-    new = np.empty(target + 1)
-    built = table.size - 1
-    new[: built + 1] = table
-    hi = float(table[built])
-    lo = 0.0
-    for start in range(built + 1, target + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, target)
-        j = np.arange(start, stop + 1, dtype=np.float64)
-        terms = 1.0 / j if power == 1 else 1.0 / (j * j)
-        local = np.cumsum(terms)
-        new[start : stop + 1] = hi + (lo + local)
-        # Kahan-style carry of the exact chunk total into (hi, lo).
-        chunk_total = math.fsum(terms.tolist())
-        t = hi + chunk_total
-        lo += chunk_total - (t - hi)
-        hi = t
-    return new
-
-
-def _table_value(n: int, power: int) -> float:
-    global _h_table, _g_table
-    table = _h_table if power == 1 else _g_table
-    if n >= table.size:
-        with _lock:
-            table = _h_table if power == 1 else _g_table
-            if n >= table.size:
-                target = min(TABLE_CAP, max(n, 2 * (table.size - 1), 1024))
-                grown = _extend_table(table, target, power)
-                if power == 1:
-                    _h_table = grown
-                else:
-                    _g_table = grown
-                table = grown
-    return float(table[n])
+# Up to this many terms the sums are taken with ``math.fsum``; above it the
+# expansions' first omitted terms, 1/(252 n^6) and 1/(42 n^7), are below
+# 2e-16 relative.
+_FSUM_CAP = 128
 
 
 def harmonic(n: int) -> float:
     """H_n = sum_{j=1}^{n} 1/j, with harmonic(0) = 0.
 
-    Exact summation (memoized prefix table) up to ``TABLE_CAP``; the
-    asymptotic expansion log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4)
-    above it.  Relative accuracy is well under 1e-12 either way.
+    ``math.fsum`` of the terms up to ``n = 128``; the asymptotic expansion
+    log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) above it.  Within
+    1e-15 relative of the exact sum either way.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"harmonic requires an integer n >= 0, got {n!r}")
     n = int(n)
     if n == 0:
         return 0.0
-    if n <= TABLE_CAP:
-        return _table_value(n, power=1)
+    if n <= _FSUM_CAP:
+        return math.fsum(1.0 / j for j in range(1, n + 1))
     inv = 1.0 / n
     inv2 = inv * inv
     return math.log(n) + EULER_GAMMA + 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
@@ -93,16 +45,16 @@ def harmonic(n: int) -> float:
 def gen_harmonic(n: int) -> float:
     """G_n = sum_{j=1}^{n} 1/j^2, with gen_harmonic(0) = 0.
 
-    Converges to pi^2/6; above ``TABLE_CAP`` the tail is expanded as
-    1/n - 1/(2n^2) + 1/(6n^3) - 1/(30n^5).
+    ``math.fsum`` of the terms up to ``n = 128``.  Converges to pi^2/6;
+    above 128 the tail is expanded as 1/n - 1/(2n^2) + 1/(6n^3) - 1/(30n^5).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"gen_harmonic requires an integer n >= 0, got {n!r}")
     n = int(n)
     if n == 0:
         return 0.0
-    if n <= TABLE_CAP:
-        return _table_value(n, power=2)
+    if n <= _FSUM_CAP:
+        return math.fsum(1.0 / (j * j) for j in range(1, n + 1))
     inv = 1.0 / n
     inv2 = inv * inv
     tail = inv - 0.5 * inv2 + inv2 * inv / 6.0 - inv2 * inv2 * inv / 30.0

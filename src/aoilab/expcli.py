@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo age estimation")
     _add_common_model_flags(p)
     p.add_argument("--sessions", type=int, default=100_000)
-    p.add_argument("--variant", choices=[v.value for v in (Variant.EXACT, Variant.WORSENED)], default="worsened")
+    p.add_argument("--variant", choices=[v.value for v in Variant], default="worsened")
     p.add_argument(
         "--delivery",
         choices=["independent", "coupled", "paper"],
@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-inter", type=float, default=1.0, dest="lambda_inter")
     p.add_argument("--sessions", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=["exact", "worsened"], default="worsened")
+    p.add_argument("--variant", choices=[v.value for v in Variant], default="worsened")
     p.add_argument("--delivery", choices=["independent", "coupled", "paper"], default="independent")
     p.add_argument("--baseline", action="store_true", help="also run the turn-taking baseline")
     p.add_argument("--out", required=True, help="output directory")

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,20 @@ GOLDEN_TOLERANCES = {
 }
 
 
+# Both sides of the fsum/expansion switch at 128, and far beyond it.
+EXACT_SUM_NS = (1, 2, 4, 127, 128, 129, 4000, 10**4)
+
+
+def exact_sums(power):
+    """{n: float(sum_{j<=n} 1/j**power)} for n in EXACT_SUM_NS, in rationals."""
+    total, out = Fraction(0), {}
+    for j in range(1, max(EXACT_SUM_NS) + 1):
+        total += Fraction(1, j**power)
+        if j in EXACT_SUM_NS:
+            out[j] = float(total)
+    return out
+
+
 def load_golden():
     rows = {}
     with open(GOLDEN_PATH, newline="") as fh:
@@ -62,13 +77,9 @@ class TestHarmonic:
         gap = harmonic(10**6) - math.log(10**6)
         assert 0.5772 < gap < 0.5773
 
-    def test_large_n_expansion_matches_exact_sum(self, monkeypatch):
-        import aoilab.analytics as mod
-
-        n = 100_001
-        exact = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)[::-1]))
-        monkeypatch.setattr(mod, "TABLE_CAP", 100_000)
-        assert harmonic(n) == pytest.approx(exact, rel=1e-12)
+    def test_matches_exact_fraction_sums(self):
+        for n, exact in exact_sums(1).items():
+            assert abs(harmonic(n) - exact) <= 1e-15 * exact, n
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -95,14 +106,9 @@ class TestGenHarmonic:
         tail = PI_SQ_OVER_6 - gen_harmonic(n)
         assert 1.0 / (n + 1) < tail < 1.0 / n
 
-    def test_large_n_expansion_matches_exact_sum(self, monkeypatch):
-        import aoilab.analytics as mod
-
-        n = 100_001
-        j = np.arange(1, n + 1, dtype=np.float64)[::-1]
-        exact = float(np.sum(1.0 / (j * j)))
-        monkeypatch.setattr(mod, "TABLE_CAP", 100_000)
-        assert gen_harmonic(n) == pytest.approx(exact, rel=1e-12)
+    def test_matches_exact_fraction_sums(self):
+        for n, exact in exact_sums(2).items():
+            assert abs(gen_harmonic(n) - exact) <= 1e-15 * exact, n
 
 
 class TestOrderStatMoments:

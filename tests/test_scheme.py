@@ -23,14 +23,13 @@ from aoilab import (
     merge_summaries,
     phase_moments,
     sample_coupled_sessions,
-    sample_round_robin,
     sample_session_exact,
     sample_session_worsened,
     simulate_round_robin,
     simulate_sessions,
 )
 from aoilab import scheme
-from aoilab.sampling import session_stream
+from aoilab.sampling import exp_from_uniform, session_stream
 from aoilab.scheme import (
     SessionSample,
     _exact_width,
@@ -43,6 +42,15 @@ from aoilab.scheme import (
 
 def _se(arr):
     return arr.std(ddof=1) / np.sqrt(arr.size)
+
+
+def _reference_round_robin(n, rate, stream):
+    """One turn-taking session slot by slot: n explicit slot durations, the
+    tagged pair in a uniform slot j.  Returns (d, y): the sum of the first j
+    slots and of all n."""
+    slots = exp_from_uniform(stream.random(n), rate)
+    j = 1 + min(int(stream.random() * n), n - 1)
+    return float(slots[:j].sum()), float(slots.sum())
 
 
 class TestWorsenedSampler:
@@ -411,13 +419,21 @@ class TestRoundRobin:
     def test_scalar_sampler_joint_moments(self):
         stream = make_stream(StreamSpec(603, 0))
         n, rate = 6, 1.0
-        samples = [sample_round_robin(n, rate, stream) for _ in range(50_000)]
-        d = np.array([s.d for s in samples])
-        y = np.array([s.y for s in samples])
+        d, y = np.array([_reference_round_robin(n, rate, stream) for _ in range(50_000)]).T
         assert np.all(d <= y)
         assert abs(y.mean() - n / rate) < 4 * _se(y)
         assert abs(d.mean() - (n + 1) / (2 * rate)) < 4 * _se(d)
-        assert samples[0].variant == Variant.ROUND_ROBIN
+
+    @pytest.mark.parametrize("n", [1, 6, 1024])
+    def test_kernel_matches_slot_by_slot_reference_in_law(self, n):
+        # The kernel draws d and y - d as two gamma quantiles; the reference
+        # sums n explicit slots.  Compare both marginals across 20 000 sessions.
+        rate = 1.5
+        run = simulate_round_robin(n, rate, 20_000, master_seed=606 + n)
+        stream = make_stream(StreamSpec(607 + n, 0))
+        d, y = np.array([_reference_round_robin(n, rate, stream) for _ in range(20_000)]).T
+        assert ks_2samp(run.d, d).pvalue > 1e-3
+        assert ks_2samp(run.y - run.d, y - d).pvalue > 1e-3
 
     def test_batch_matches_scalar_moments(self):
         n, rate = 6, 1.0
@@ -442,13 +458,13 @@ class TestRoundRobin:
         with pytest.raises(ValueError):
             simulate_round_robin(0, 1.0, 100)
         with pytest.raises(ValueError):
-            sample_round_robin(3, -1.0, make_stream(StreamSpec(0, 0)))
+            simulate_round_robin(3, -1.0, 100)
 
 
 class TestSimulateSessions:
     def test_rejects_round_robin_variant(self):
         with pytest.raises(ValueError):
-            simulate_sessions(SchemeParams(8, 2), 10, variant=Variant.ROUND_ROBIN)
+            simulate_sessions(SchemeParams(8, 2), 10, variant="round_robin")
 
     def test_rejects_zero_sessions(self):
         with pytest.raises(ValueError):
@@ -518,6 +534,17 @@ class TestSimulateSessions:
             # Refused before the columns of 2^40 sessions are allocated.
             with pytest.raises(ValueError, match=match):
                 simulate_sessions(SchemeParams(65536, 16), 2**40, workers=workers)
+
+    def test_rejects_invalid_batch_sizes(self):
+        for batch_size in (0, -1):
+            match = f"batch_size must be >= 1, got {batch_size}"
+            with pytest.raises(ValueError, match=match):
+                simulate_sessions(SchemeParams(64, 4), 100, batch_size=batch_size)
+            with pytest.raises(ValueError, match=match):
+                simulate_round_robin(64, 1.0, 100, batch_size=batch_size)
+            # Refused before the columns of 2^40 sessions are allocated.
+            with pytest.raises(ValueError, match=match):
+                simulate_sessions(SchemeParams(64, 4), 2**40, batch_size=batch_size)
 
 
 @pytest.fixture
