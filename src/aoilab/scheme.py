@@ -39,6 +39,7 @@ from .sampling import (
     fill_stream_rows,
     gamma_from_uniform,
     max_exp_from_uniform,
+    row_ticks,
     stream_window,
 )
 
@@ -418,14 +419,36 @@ def sample_coupled_sessions(
 # estimate d + y^2 / (2 y) feeds the batch-means standard error.
 _MIN_BATCH = 32
 
+# Uniforms one compute chunk's padded buffer may hold: 256 KiB of float64.
+# Each thread holds one chunk, so a larger budget raises peak memory.
+_CHUNK_UNIFORMS = 1 << 15
+
 
 def _default_batch_size(width: int, sessions: int) -> int:
-    # Aim for 32 batches (the default batch-means resolution) but cap each
-    # uniform buffer near 32 MiB; every worker thread holds one such buffer.
+    # A batch is a statistical unit only: aim for 32 batches (the default
+    # batch-means resolution), each of at least 32 sessions.  A batch whose
+    # uniforms exceed _CHUNK_UNIFORMS is a chunk by itself, so the cap near
+    # 32 MiB of uniforms also bounds the largest buffer a thread holds.
     # Depends only on the layout and session count, so batch boundaries (and
     # hence all floating-point groupings) are identical for every worker count.
     memory_cap = min(65536, max(256, (1 << 22) // width))
     return int(max(min(sessions, _MIN_BATCH), min(-(-sessions // 32), memory_cap)))
+
+
+def _chunk_bounds(starts: list[int], stops: list[int], width: int) -> list[tuple[int, int]]:
+    """Batch index ranges ``[a, b)`` of the compute chunks, in batch order.
+
+    Each chunk takes batches greedily while its padded buffer stays within
+    ``_CHUNK_UNIFORMS``; a batch that alone exceeds it is a chunk by itself.
+    """
+    row = 4 * row_ticks(width)
+    bounds = []
+    a = 0
+    for b in range(1, len(starts) + 1):
+        if b == len(starts) or (stops[b] - starts[a]) * row > _CHUNK_UNIFORMS:
+            bounds.append((a, b))
+            a = b
+    return bounds
 
 
 def _run_batches(
@@ -437,12 +460,16 @@ def _run_batches(
     workers: int,
     batch_size: int,
 ) -> SimulationRun:
-    """Fill and run ``kernel`` (uniform rows -> columns) batch by batch.
+    """Fill and run ``kernel`` (uniform rows -> columns) chunk by chunk.
 
-    Each batch writes its columns into its own slice of the run's arrays and
-    returns its summary.  Batches run on up to ``workers`` threads of this
-    process (the fill and the kernels release the GIL), or inline on the
-    caller's thread when only one would run.
+    Batches set the statistics: one summary each, merged in a fixed tree.
+    Compute chunks set the work: each fills its consecutive batches' rows
+    with one call, runs the kernel once, writes its columns into its slice
+    of the run's arrays and returns its batches' summaries.  Kernels work
+    row by row, so the chunk plan never changes a value.  Chunks run on up
+    to ``workers`` threads of this process (the fill and the kernels
+    release the GIL), or inline on the caller's thread when only one would
+    run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -457,25 +484,31 @@ def _run_batches(
     stops = starts[1:] + [sessions]
     out = {name: np.empty(sessions) for name in _COLUMNS}
 
-    def run_batch(start: int, stop: int) -> MomentSummary:
-        u = fill_stream_rows(master_seed, base_stream_index, start, stop - start, width)
-        cols = kernel(u)
+    def run_chunk(bounds: tuple[int, int]) -> list[MomentSummary]:
+        a, b = bounds
+        lo, hi = starts[a], stops[b - 1]
+        cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
         for name in _COLUMNS:
-            out[name][start:stop] = cols[name]
-        return MomentSummary.from_arrays(cols["y"], cols["d"])
+            out[name][lo:hi] = cols[name]
+        y, d = out["y"], out["d"]
+        return [
+            MomentSummary.from_arrays(y[start:stop], d[start:stop])
+            for start, stop in zip(starts[a:b], stops[a:b])
+        ]
 
-    threads = min(workers, len(starts), os.cpu_count() or 1)
+    chunks = _chunk_bounds(starts, stops, width)
+    threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
-            summaries = list(pool.map(run_batch, starts, stops))  # in batch order
+            per_chunk = list(pool.map(run_chunk, chunks))  # in chunk order
     else:
-        summaries = list(map(run_batch, starts, stops))
+        per_chunk = list(map(run_chunk, chunks))
     return SimulationRun(
         master_seed=master_seed,
         base_stream_index=base_stream_index,
         batch_size=batch_size,
         **out,
-        batch_summaries=summaries,
+        batch_summaries=[summary for part in per_chunk for summary in part],
     )
 
 
@@ -494,10 +527,13 @@ def simulate_sessions(
     counter window in the block of ``base_stream_index``, and
     ``session_stream(master_seed, base_stream_index, s, width)`` replays it.
 
-    ``workers`` threads of this process split whole batches (one worker
-    runs them on the caller's thread); each holds one batch of uniforms,
-    capped near 32 MiB, at a time.  Batch boundaries and the reduction
-    order are fixed, so outputs are bit-identical for any ``workers``.
+    ``workers`` threads of this process split the run into compute chunks
+    (one worker runs them on the caller's thread).  A chunk is the longest
+    run of consecutive batches whose uniforms fit in 256 KiB, or one wider
+    batch (capped near 32 MiB); each thread holds one chunk's uniforms at a
+    time.  Batch boundaries, the chunk plan and the reduction order depend
+    only on the layout and session count, so outputs are bit-identical for
+    any ``workers``.
     """
     variant = Variant(variant)
     delivery = DeliveryMode(delivery)

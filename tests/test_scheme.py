@@ -563,28 +563,56 @@ def executors(monkeypatch):
     return started
 
 
+@pytest.fixture
+def fills(monkeypatch):
+    """``(first_session, rows, width)`` of every fill ``_run_batches`` makes."""
+    calls = []
+    fill = scheme.fill_stream_rows
+
+    def recording(master_seed, base_stream_index, first_session, rows, width):
+        calls.append((first_session, rows, width))
+        return fill(master_seed, base_stream_index, first_session, rows, width)
+
+    monkeypatch.setattr(scheme, "fill_stream_rows", recording)
+    return calls
+
+
+def _assert_same_run(a, b):
+    for col in scheme._COLUMNS:
+        assert np.array_equal(getattr(a, col), getattr(b, col)), col
+    assert a.batch_summaries == b.batch_summaries
+
+
 class TestBatchWorkers:
-    def test_threads_bounded_by_cpus_and_batches(self, executors):
+    # SchemeParams(64, 4) rows hold 27 uniforms, padded to 28.  At 2000
+    # sessions the 32 batches of 63 rows (1764 uniforms each) make two
+    # chunks, of 18 and 14 batches.
+
+    def test_threads_bounded_by_cpus_and_batches(self, executors, monkeypatch):
         params = SchemeParams(64, 4)
         serial = simulate_sessions(params, 2000, master_seed=4)
         assert len(serial.batch_summaries) == 32
-        wide = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
+        two_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)  # one batch a chunk
+        per_batch = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
         two = simulate_sessions(params, 64, master_seed=4, workers=10**6, batch_size=32)
-        assert executors == [3, 2]
-        for col in ("y1", "y2", "y3", "z", "d", "y"):
-            assert np.array_equal(getattr(serial, col), getattr(wide, col))
-        assert wide.batch_summaries == serial.batch_summaries
+        # Bounded by the chunks (2), by the 3 CPUs (32 chunks), by the chunks (2).
+        assert executors == [2, 3, 2]
+        _assert_same_run(serial, two_chunks)
+        _assert_same_run(serial, per_batch)
         assert len(two.batch_summaries) == 2
 
     def test_batch_error_reaches_caller_and_threads_end(self, executors, monkeypatch):
         kernel = scheme._worsened_kernel
 
         def failing(u, params, mode):
-            if u.shape[0] == 36:  # the last of batches 32 + 32 + 36
+            if u.shape[0] == 36:  # the chunk of the last of batches 32 + 32 + 36
                 raise RuntimeError("kernel failed")
             return kernel(u, params, mode)
 
         monkeypatch.setattr(scheme, "_worsened_kernel", failing)
+        # Room for the first two batches' 64 rows of 28 uniforms, not the third.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 28)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="kernel failed"):
             simulate_sessions(SchemeParams(64, 4), 100, workers=2)
@@ -602,23 +630,27 @@ class TestBatchWorkers:
         monkeypatch.setattr(scheme, "_worsened_kernel", recording)
         caller = (os.getpid(), threading.get_ident())
         params = SchemeParams(64, 4)
-        # One worker, or a single batch, runs inline on the caller's thread.
+        # One worker, or a single chunk, runs inline on the caller's thread:
+        # two chunks on one worker, then one chunk of 3 batches and one of 1.
         simulate_sessions(params, 2000, workers=1)
+        simulate_sessions(params, 100, workers=2)
         simulate_sessions(params, 16, workers=2)
-        assert seen == [caller] * 33
+        assert seen == [caller] * 4
         assert executors == []
         seen.clear()
         simulate_sessions(params, 2000, workers=2)
         assert executors == [2]
-        assert len(seen) == 32
+        assert len(seen) == 2
         assert {pid for pid, _ in seen} == {os.getpid()}
 
-    def test_more_threads_than_cores_under_fast_switching(self, executors, monkeypatch):
-        # Eight threads on any machine, switching every microsecond: a batch
+    def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
+        # Eight threads on any machine, switching every microsecond: a chunk
         # writing outside its slice or a summary out of order would show.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
         params = SchemeParams(256, 4)
         serial = simulate_sessions(params, 4096, master_seed=6, batch_size=64)
+        # 64 batches of 64 rows of 76 padded uniforms: 11 chunks of up to 6.
+        assert len(fills) == 11
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -626,6 +658,67 @@ class TestBatchWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert executors == [8]
-        for col in ("y1", "y2", "y3", "z", "d", "y"):
-            assert np.array_equal(getattr(serial, col), getattr(threaded, col))
-        assert threaded.batch_summaries == serial.batch_summaries
+        _assert_same_run(serial, threaded)
+
+
+# Runs that cover each kernel and delivery mode, batches wider than a chunk,
+# the sweep-quarter points and a 32 + 32 + 36 remainder.
+_CHUNK_CASES = {
+    "worsened-independent": lambda w: simulate_sessions(
+        SchemeParams(1024, 8), 2000, master_seed=11, workers=w),
+    "worsened-coupled": lambda w: simulate_sessions(
+        SchemeParams(1024, 8), 2000, delivery="coupled", master_seed=11, workers=w),
+    "exact": lambda w: simulate_sessions(
+        SchemeParams(64, 4), 2000, variant="exact", master_seed=11, workers=w),
+    "exact-wide": lambda w: simulate_sessions(
+        SchemeParams(1024, 8), 300, variant="exact", master_seed=11, workers=w),
+    "round-robin": lambda w: simulate_round_robin(1024, 1.0, 10_000, master_seed=11, workers=w),
+    "quarter-4096": lambda w: simulate_sessions(
+        SchemeParams(4096, 8), 10_000, master_seed=12, base_stream_index=1, workers=w),
+    "quarter-16384": lambda w: simulate_sessions(
+        SchemeParams(16384, 8), 10_000, master_seed=12, base_stream_index=3, workers=w),
+    "quarter-65536": lambda w: simulate_sessions(
+        SchemeParams(65536, 16), 10_000, master_seed=12, base_stream_index=5, workers=w),
+    "remainder": lambda w: simulate_sessions(SchemeParams(64, 4), 100, master_seed=11, workers=w),
+}
+
+
+class TestChunkPlan:
+    @pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
+    def test_outputs_identical_across_chunk_plans(self, case, monkeypatch):
+        monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        reference = _CHUNK_CASES[case](1)
+        if case == "remainder":
+            assert [s.count for s in reference.batch_summaries] == [32, 32, 36]
+        for budget in (1, scheme._CHUNK_UNIFORMS, 2**40):
+            monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
+            for workers in (1, 2, 4):
+                _assert_same_run(reference, _CHUNK_CASES[case](workers))
+
+    @pytest.mark.parametrize("case", ["exact-wide", "quarter-4096", "round-robin", "remainder"])
+    def test_chunks_cover_whole_batches_within_budget(self, case, fills, monkeypatch):
+        monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        plans = []
+        for workers in (1, 2, 4):
+            fills.clear()
+            run = _CHUNK_CASES[case](workers)
+            plans.append(sorted(fills))
+        assert plans[0] == plans[1] == plans[2]
+
+        counts = [s.count for s in run.batch_summaries]
+        bounds = np.cumsum([0] + counts)
+        padded = 4 * (-(-plans[0][0][2] // 4))
+        budget = scheme._CHUNK_UNIFORMS
+        position = 0
+        for first, rows, _ in plans[0]:
+            assert first == position  # chunks tile the run in order
+            a = int(np.searchsorted(bounds, first))
+            b = int(np.searchsorted(bounds, first + rows))
+            assert bounds[a] == first and bounds[b] == first + rows  # whole batches
+            assert rows * padded <= budget or b - a == 1
+            if b < len(counts):  # the next batch would not have fitted
+                assert (rows + counts[b]) * padded > budget
+            position += rows
+        assert position == run.sessions
+        expected = {"exact-wide": 9, "quarter-4096": 11, "round-robin": 2, "remainder": 1}
+        assert len(plans[0]) == expected[case]
