@@ -34,6 +34,7 @@ from scipy.special import gammaincinv
 
 from .params import SchemeParams
 from .sampling import (
+    _GAMMA_TABLE_MIN_SHAPE,
     _TINY_UNIFORM,
     exp_from_uniform,
     fill_stream_rows,
@@ -175,18 +176,26 @@ class SimulationRun:
 
 
 # Phase two draws m gamma quantiles instead of one uniform per cell once the
-# cells outnumber m by this factor.  A table quantile costs about 40 ns and
-# a per-cell uniform about 25 ns (fill plus max-exp transform); on a 2-vCPU
-# x86-64 VM whole sessions at m = 4, 8 and 16 cost the same both ways at
-# 4-8 m cells.  The factor stays at 48, set for 1 us gammaincinv quantiles,
-# because lowering it changes the draws of points such as (1024, 8).
-_GAMMA_PHASE_TWO_RATIO = 48
+# cells number at least this many times m, and at least the table's shape
+# floor.  Whole worsened sessions, us each, per-cell / gamma path (16384
+# sessions, best of 15 alternating runs, 1 worker, 2-vCPU x86-64 VM):
+#
+#     m     cells = 2m     cells = 4m
+#     1     below 16       below 16   (16 cells: 0.47 / 0.23)
+#     4     below 16       0.64 / 0.54
+#     8     0.88 / 0.87    1.12 / 0.96
+#     16    2.02 / 2.26    1.81 / 1.51
+#     32    3.10 / 3.29    3.45 / 2.78
+#
+# The gamma path wins from 4m cells on; at 2m it loses for m >= 16.
+_GAMMA_PHASE_TWO_RATIO = 4
 
 
 def _phase_two_width(params: SchemeParams) -> int:
-    """Uniforms phase two draws: ``m`` when ``cells >= 48 m``, else ``cells``."""
+    """Uniforms phase two draws: ``m`` when ``cells >= max(4 m, 16)``, else
+    ``cells``."""
     m, cells = params.m, params.cells
-    return m if cells >= _GAMMA_PHASE_TWO_RATIO * m else cells
+    return m if cells >= max(_GAMMA_PHASE_TWO_RATIO * m, _GAMMA_TABLE_MIN_SHAPE) else cells
 
 
 def _phase_two(u2: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -299,22 +308,30 @@ _ROUND_ROBIN_WIDTH = 3
 def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
     """Turn-taking baseline: one pair served per slot, session = n slots.
 
-    D given the tagged position j is a sum of j i.i.d. exponentials, drawn
-    in O(1) through the gamma quantile function; Y - D adds the remaining
-    n - j slots.  Jointly identical in law to summing n explicit draws.
+    The session length is ``Y ~ Gamma(n) / rate``, one quantile at the
+    run's single shape ``n`` (from the table of
+    :func:`aoilab.sampling.gamma_from_uniform` at ``n >= 16``).  The tagged
+    pair holds a uniform slot ``j``; its delay is ``D = Y V`` with ``V = 1``
+    when ``j = n`` and ``V`` uniform otherwise.  That is exact in law:
+    given ``j < n``, ``D / Y ~ Beta(j, n - j)`` independently of ``Y``, and
+    those densities averaged over ``j = 1 .. n-1`` are Uniform(0, 1).  As
+    ``V <= 1``, ``d <= y`` holds exactly in floating point.
 
-    ``gammaincinv`` was checked against an mpmath root of the regularized
-    incomplete gamma only up to shape 65536.  At shape 2^20 it is off by up
-    to 2.6e-9 relative (u from 1.2e-7 to 1.9e-6): far below the Monte Carlo
-    noise, but no tighter accuracy is claimed above shape 65536.
+    ``gammaincinv``, which the small shapes call and the table's knots come
+    from, was checked against an mpmath root of the regularized incomplete
+    gamma only up to shape 65536.  At shape 2^20 it is off by up to 2.6e-9
+    relative (u from 1.2e-7 to 1.9e-6), and so are the knots there: far
+    below the Monte Carlo noise, but no tighter accuracy is claimed above
+    shape 65536.
     """
-    ju = u[:, 0]
-    ua = np.maximum(u[:, 1], _TINY_UNIFORM)
-    ub = np.maximum(u[:, 2], _TINY_UNIFORM)
-    j = 1 + np.minimum((ju * n).astype(np.int64), n - 1)
-    d = gammaincinv(j, ua) / rate
-    tail = np.where(j < n, gammaincinv(np.maximum(n - j, 1), ub), 0.0) / rate
-    y = d + tail
+    if n >= _GAMMA_TABLE_MIN_SHAPE:
+        y = gamma_from_uniform(u[:, 2], n)
+    else:
+        y = gammaincinv(n, np.maximum(u[:, 2], _TINY_UNIFORM))
+    y /= rate
+    # The tagged slot is j = 1 + min(floor(n u[:, 0]), n - 1); only j = n matters.
+    last = (u[:, 0] * n).astype(np.int64) >= n - 1
+    d = y * np.where(last, 1.0, u[:, 1])
     zeros = np.zeros_like(y)
     return {"y1": zeros, "y2": zeros, "y3": y, "z": d, "d": d, "y": y}
 

@@ -237,12 +237,17 @@ class TestGammaFromUniform:
         u = make_stream(StreamSpec(43, seed)).random(10**6)
         return np.concatenate([u, 2.0**-k, 1 - 2.0**-k, [0.0]])
 
-    @pytest.mark.parametrize("shape", [48, 384, 512, 2048, 4096, 32768, 65536])
+    # Simulation reaches every shape from 16 up: phase two from 4 m cells,
+    # the round-robin baseline at n.  Below 48 each bound is the measured
+    # error on these uniforms, rounded up.
+    _BOUNDS = {16: 2.4e-12, 24: 2.0e-13, 32: 4.3e-14}
+
+    @pytest.mark.parametrize("shape", [16, 24, 32, 48, 384, 512, 2048, 4096, 32768, 65536])
     def test_matches_gammaincinv(self, shape):
         u = self._uniforms(shape)
         want = gammaincinv(shape, np.maximum(u, _TINY_UNIFORM))
         got = gamma_from_uniform(u, shape)
-        assert np.max(np.abs(got / want - 1)) <= 1e-13
+        assert np.max(np.abs(got / want - 1)) <= self._BOUNDS.get(shape, 1e-13)
 
     @pytest.mark.parametrize("shape", [16, 48, 4096, 65536])
     def test_non_decreasing_on_sorted_uniforms(self, shape):

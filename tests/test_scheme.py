@@ -250,7 +250,7 @@ class TestPhaseTwo:
         assert ks_2samp(per_cell, gamma).pvalue > 1e-3
 
     @pytest.mark.parametrize(
-        "n, m, seed", [(16384, 8, 413), (2**20, 32, 414)]
+        "n, m, seed", [(64, 4, 417), (1024, 8, 418), (16384, 8, 413), (2**20, 32, 414)]
     )
     def test_gamma_path_moments_match_closed_forms(self, n, m, seed):
         params = SchemeParams(n, m)
@@ -261,11 +261,15 @@ class TestPhaseTwo:
             assert abs(arr.mean() - expected) < 4 * _se(arr)
 
     def test_widths(self):
-        # The gamma path starts at 48 m cells; below it a row is unchanged.
-        assert _worsened_width(SchemeParams(1024, 8)) == 147
+        # The gamma path starts at max(4 m, 16) cells; below it phase two
+        # takes one uniform per cell.
+        assert _worsened_width(SchemeParams(1024, 8)) == 27
         assert _worsened_width(SchemeParams(65536, 16)) == 51
-        assert _phase_two_width(SchemeParams(48 * 8 * 8, 8)) == 8
-        assert _phase_two_width(SchemeParams(47 * 8 * 8, 8)) == 47 * 8
+        assert _phase_two_width(SchemeParams(32 * 8, 8)) == 8
+        assert _phase_two_width(SchemeParams(31 * 8, 8)) == 31
+        # At m = 1 the ratio allows 4 cells; the table's shape floor decides.
+        assert _phase_two_width(SchemeParams(16, 1)) == 1
+        assert _phase_two_width(SchemeParams(15, 1)) == 15
         assert _exact_width(SchemeParams(4096, 8)) == 4096 + 8 + 4096 + 1
 
     def test_gamma_path_sessions_replay(self):
@@ -424,16 +428,20 @@ class TestRoundRobin:
         assert abs(y.mean() - n / rate) < 4 * _se(y)
         assert abs(d.mean() - (n + 1) / (2 * rate)) < 4 * _se(d)
 
-    @pytest.mark.parametrize("n", [1, 6, 1024])
+    @pytest.mark.parametrize("n", [1, 6, 15, 16, 1024])
     def test_kernel_matches_slot_by_slot_reference_in_law(self, n):
-        # The kernel draws d and y - d as two gamma quantiles; the reference
-        # sums n explicit slots.  Compare both marginals across 20 000 sessions.
+        # The kernel draws y as one Gamma(n) quantile (from the table at
+        # n >= 16) and d = y v; the reference sums n explicit slots.  Compare
+        # d, y - d and the ratio d / y, which is independent of y, across
+        # 20 000 sessions.
         rate = 1.5
         run = simulate_round_robin(n, rate, 20_000, master_seed=606 + n)
+        assert np.all(run.d <= run.y)
         stream = make_stream(StreamSpec(607 + n, 0))
         d, y = np.array([_reference_round_robin(n, rate, stream) for _ in range(20_000)]).T
         assert ks_2samp(run.d, d).pvalue > 1e-3
         assert ks_2samp(run.y - run.d, y - d).pvalue > 1e-3
+        assert ks_2samp(run.d / run.y, d / y).pvalue > 1e-3
 
     def test_batch_matches_scalar_moments(self):
         n, rate = 6, 1.0
@@ -584,12 +592,13 @@ def _assert_same_run(a, b):
 
 
 class TestBatchWorkers:
-    # SchemeParams(64, 4) rows hold 27 uniforms, padded to 28.  At 2000
-    # sessions the 32 batches of 63 rows (1764 uniforms each) make two
+    # SchemeParams(64, 8) has 8 cells, below the gamma table's shape floor,
+    # so phase two stays per cell: rows hold 27 uniforms, padded to 28.  At
+    # 2000 sessions the 32 batches of 63 rows (1764 uniforms each) make two
     # chunks, of 18 and 14 batches.
 
     def test_threads_bounded_by_cpus_and_batches(self, executors, monkeypatch):
-        params = SchemeParams(64, 4)
+        params = SchemeParams(64, 8)
         serial = simulate_sessions(params, 2000, master_seed=4)
         assert len(serial.batch_summaries) == 32
         two_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
@@ -615,7 +624,7 @@ class TestBatchWorkers:
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 28)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="kernel failed"):
-            simulate_sessions(SchemeParams(64, 4), 100, workers=2)
+            simulate_sessions(SchemeParams(64, 8), 100, workers=2)
         assert executors == [2]
         assert threading.active_count() == before
 
@@ -629,7 +638,7 @@ class TestBatchWorkers:
 
         monkeypatch.setattr(scheme, "_worsened_kernel", recording)
         caller = (os.getpid(), threading.get_ident())
-        params = SchemeParams(64, 4)
+        params = SchemeParams(64, 8)
         # One worker, or a single chunk, runs inline on the caller's thread:
         # two chunks on one worker, then one chunk of 3 batches and one of 1.
         simulate_sessions(params, 2000, workers=1)
@@ -647,9 +656,10 @@ class TestBatchWorkers:
         # Eight threads on any machine, switching every microsecond: a chunk
         # writing outside its slice or a summary out of order would show.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
-        params = SchemeParams(256, 4)
+        params = SchemeParams(256, 32)
         serial = simulate_sessions(params, 4096, master_seed=6, batch_size=64)
-        # 64 batches of 64 rows of 76 padded uniforms: 11 chunks of up to 6.
+        # 8 cells keep phase two per cell: 64 batches of 64 rows of 75
+        # uniforms, padded to 76, make 11 chunks of up to 6.
         assert len(fills) == 11
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
