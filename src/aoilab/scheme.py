@@ -145,13 +145,13 @@ class SimulationRun:
     """Column store of simulated sessions plus per-batch moment summaries.
 
     Sessions appear in session order; ``batch_summaries[i]`` covers
-    sessions ``[i * batch_size, (i+1) * batch_size)``, except that a
-    remainder of fewer than 32 sessions joins the last batch.
+    sessions ``[b[i], b[i+1])`` with ``b = _batch_bounds(sessions)``: at
+    most 32 consecutive batches whose sizes differ by at most 1, each of
+    at least 32 sessions unless the run is a single batch.
     """
 
     master_seed: int
     base_stream_index: int
-    batch_size: int
     y1: np.ndarray = field(repr=False)
     y2: np.ndarray = field(repr=False)
     y3: np.ndarray = field(repr=False)
@@ -163,6 +163,11 @@ class SimulationRun:
     @property
     def sessions(self) -> int:
         return int(self.y.size)
+
+    @property
+    def batch_size(self) -> int:
+        """Sessions in the largest batch."""
+        return max(s.count for s in self.batch_summaries)
 
     def total_summary(self) -> MomentSummary:
         return merge_summaries(self.batch_summaries)
@@ -432,40 +437,28 @@ def sample_coupled_sessions(
 # Batch engine.
 # ---------------------------------------------------------------------------
 
-# Fewest sessions a batch holds when the run has more: each batch's ratio
-# estimate d + y^2 / (2 y) feeds the batch-means standard error.
+# Batch means: at most 32 batches, each of at least 32 items unless the run
+# is a single batch; each batch's ratio estimate feeds the standard error.
+_MAX_BATCHES = 32
 _MIN_BATCH = 32
 
 # Uniforms one compute chunk's padded buffer may hold: 256 KiB of float64.
 # Each thread holds one chunk, so a larger budget raises peak memory.
 _CHUNK_UNIFORMS = 1 << 15
 
-
-def _default_batch_size(width: int, sessions: int) -> int:
-    # A batch is a statistical unit only: aim for 32 batches (the default
-    # batch-means resolution), each of at least 32 sessions.  A batch whose
-    # uniforms exceed _CHUNK_UNIFORMS is a chunk by itself, so the cap near
-    # 32 MiB of uniforms also bounds the largest buffer a thread holds.
-    # Depends only on the layout and session count, so batch boundaries (and
-    # hence all floating-point groupings) are identical for every worker count.
-    memory_cap = min(65536, max(256, (1 << 22) // width))
-    return int(max(min(sessions, _MIN_BATCH), min(-(-sessions // 32), memory_cap)))
+# Fewest rows a chunk holds: 1-row chunks of the widest rows cost more time
+# per session than 4-row ones.
+_MIN_CHUNK_ROWS = 4
 
 
-def _chunk_bounds(starts: list[int], stops: list[int], width: int) -> list[tuple[int, int]]:
-    """Batch index ranges ``[a, b)`` of the compute chunks, in batch order.
-
-    Each chunk takes batches greedily while its padded buffer stays within
-    ``_CHUNK_UNIFORMS``; a batch that alone exceeds it is a chunk by itself.
+def _batch_bounds(count: int) -> list[int]:
+    """Boundaries ``0 = b[0] < ... < b[k] = count`` of the batch-means
+    batches of ``count`` consecutive items, ``b[i] = i * count // k``:
+    sizes differ by at most 1.  They depend only on ``count``, so every
+    floating-point grouping built on them is the same for any worker count.
     """
-    row = 4 * row_ticks(width)
-    bounds = []
-    a = 0
-    for b in range(1, len(starts) + 1):
-        if b == len(starts) or (stops[b] - starts[a]) * row > _CHUNK_UNIFORMS:
-            bounds.append((a, b))
-            a = b
-    return bounds
+    k = max(1, min(_MAX_BATCHES, count // _MIN_BATCH))
+    return [i * count // k for i in range(k + 1)]
 
 
 def _run_batches(
@@ -475,57 +468,50 @@ def _run_batches(
     master_seed: int,
     base_stream_index: int,
     workers: int,
-    batch_size: int,
 ) -> SimulationRun:
     """Fill and run ``kernel`` (uniform rows -> columns) chunk by chunk.
 
-    Batches set the statistics: one summary each, merged in a fixed tree.
-    Compute chunks set the work: each fills its consecutive batches' rows
-    with one call, runs the kernel once, writes its columns into its slice
-    of the run's arrays and returns its batches' summaries.  Kernels work
-    row by row, so the chunk plan never changes a value.  Chunks run on up
-    to ``workers`` threads of this process (the fill and the kernels
-    release the GIL), or inline on the caller's thread when only one would
-    run.
+    Compute chunks set the work: the most consecutive rows whose padded
+    uniforms fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
+    Each fills its rows with one call, runs the kernel once and writes its
+    columns into its slice of the run's arrays; kernels work row by row, so
+    the chunk plan never changes a value.  Chunks run on up to ``workers``
+    threads of this process (the fill and the kernels release the GIL), or
+    inline on the caller's thread when only one would run.  Batches set the
+    statistics: the caller's thread then sums each batch of
+    :func:`_batch_bounds` from the finished columns.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     stream_window(base_stream_index, sessions, width)  # raises before allocating
-    starts = list(range(0, sessions, batch_size))
-    if len(starts) > 1 and sessions - starts[-1] < _MIN_BATCH:
-        starts.pop()  # a short remainder joins the batch before it
-    stops = starts[1:] + [sessions]
     out = {name: np.empty(sessions) for name in _COLUMNS}
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // (4 * row_ticks(width)))
+    chunks = range(0, sessions, rows)
 
-    def run_chunk(bounds: tuple[int, int]) -> list[MomentSummary]:
-        a, b = bounds
-        lo, hi = starts[a], stops[b - 1]
+    def run_chunk(lo: int) -> None:
+        hi = min(lo + rows, sessions)
         cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
         for name in _COLUMNS:
             out[name][lo:hi] = cols[name]
-        y, d = out["y"], out["d"]
-        return [
-            MomentSummary.from_arrays(y[start:stop], d[start:stop])
-            for start, stop in zip(starts[a:b], stops[a:b])
-        ]
 
-    chunks = _chunk_bounds(starts, stops, width)
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
-            per_chunk = list(pool.map(run_chunk, chunks))  # in chunk order
+            list(pool.map(run_chunk, chunks))  # raises a chunk's error
     else:
-        per_chunk = list(map(run_chunk, chunks))
+        for lo in chunks:
+            run_chunk(lo)
+    bounds = _batch_bounds(sessions)
+    y, d = out["y"], out["d"]
     return SimulationRun(
         master_seed=master_seed,
         base_stream_index=base_stream_index,
-        batch_size=batch_size,
         **out,
-        batch_summaries=[summary for part in per_chunk for summary in part],
+        batch_summaries=[
+            MomentSummary.from_arrays(y[a:b], d[a:b]) for a, b in zip(bounds, bounds[1:])
+        ],
     )
 
 
@@ -538,19 +524,19 @@ def simulate_sessions(
     master_seed: int = 0,
     base_stream_index: int = 0,
     workers: int = 1,
-    batch_size: int | None = None,
 ) -> SimulationRun:
     """Simulate i.i.d. sessions; session ``s`` draws row ``s`` of the run's
     counter window in the block of ``base_stream_index``, and
     ``session_stream(master_seed, base_stream_index, s, width)`` replays it.
 
     ``workers`` threads of this process split the run into compute chunks
-    (one worker runs them on the caller's thread).  A chunk is the longest
-    run of consecutive batches whose uniforms fit in 256 KiB, or one wider
-    batch (capped near 32 MiB); each thread holds one chunk's uniforms at a
-    time.  Batch boundaries, the chunk plan and the reduction order depend
-    only on the layout and session count, so outputs are bit-identical for
-    any ``workers``.
+    (one worker runs them on the caller's thread).  A chunk is the most
+    consecutive rows whose padded uniforms fit in 256 KiB, and at least 4
+    rows; each thread holds one chunk's uniforms at a time.  The moment
+    summaries cover up to 32 batches of near-equal size (see
+    :class:`SimulationRun`), apart from the chunks.  Batch boundaries, the
+    chunk plan and the reduction order depend only on the layout and
+    session count, so outputs are bit-identical for any ``workers``.
     """
     variant = Variant(variant)
     delivery = DeliveryMode(delivery)
@@ -561,8 +547,7 @@ def simulate_sessions(
         return _exact_kernel(u, params)
 
     width = _worsened_width(params) if variant == Variant.WORSENED else _exact_width(params)
-    bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
-    return _run_batches(kernel, width, sessions, master_seed, base_stream_index, workers, bs)
+    return _run_batches(kernel, width, sessions, master_seed, base_stream_index, workers)
 
 
 def simulate_round_robin(
@@ -573,7 +558,6 @@ def simulate_round_robin(
     master_seed: int = 0,
     base_stream_index: int = 0,
     workers: int = 1,
-    batch_size: int | None = None,
 ) -> SimulationRun:
     """Simulate the turn-taking baseline: ``n`` slots a session, one pair
     served per slot, each slot exponential with ``rate``; the tagged pair
@@ -583,11 +567,9 @@ def simulate_round_robin(
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     n, rate = int(n), float(rate)
-    width = _ROUND_ROBIN_WIDTH
-    bs = batch_size if batch_size is not None else _default_batch_size(width, sessions)
     return _run_batches(
         lambda u: _round_robin_kernel(u, n, rate),
-        width, sessions, master_seed, base_stream_index, workers, bs,
+        _ROUND_ROBIN_WIDTH, sessions, master_seed, base_stream_index, workers,
     )
 
 
@@ -603,8 +585,10 @@ def estimate_age_moment_formula(
 
     ``summaries`` is one MomentSummary or a sequence of per-batch
     summaries; with two or more batches the standard error comes from the
-    spread of per-batch estimates (batch means; batches are assumed to be
-    of comparable size), otherwise it is NaN.
+    spread of per-batch estimates (batch means), otherwise it is NaN.
+    Batch means weigh every batch alike, so they need batches of equal
+    size; a :class:`SimulationRun`'s ``batch_summaries`` differ by at most
+    one session.
     """
     batches = [summaries] if isinstance(summaries, MomentSummary) else list(summaries)
     batches = [s for s in batches if s.count > 0]
@@ -629,7 +613,6 @@ def estimate_age_moment_formula(
 
 def integrate_age_timeline(
     sessions: SimulationRun | Sequence[SessionSample],
-    batches: int = 32,
 ) -> AgeEstimate:
     """Direct area integration of the sawtooth age process.
 
@@ -638,6 +621,9 @@ def integrate_age_timeline(
     area between consecutive deliveries is a trapezoid.  Requires delivery
     within the session (d <= y, i.e. coupled-style input); otherwise the
     delivery epochs would not be ordered and the sawtooth is ill-defined.
+    The standard error is the batch means of the segments between
+    deliveries, in the batches of :func:`_batch_bounds` (NaN for fewer
+    than 64 segments, which make one batch).
     """
     if isinstance(sessions, SimulationRun):
         y, d = sessions.y, sessions.d
@@ -659,16 +645,10 @@ def integrate_age_timeline(
     elapsed = t_deliver[-1] - t_deliver[0]
     delta = float(areas.sum() / elapsed)
 
-    n_seg = areas.size
-    n_batches = min(batches, n_seg)
-    if n_batches >= 2:
-        bounds = np.linspace(0, n_seg, n_batches + 1, dtype=int)
+    bounds = _batch_bounds(areas.size)
+    if len(bounds) > 2:
         per_batch = np.array(
-            [
-                areas[a:b].sum() / gaps[a:b].sum()
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
+            [areas[a:b].sum() / gaps[a:b].sum() for a, b in zip(bounds, bounds[1:])]
         )
         std_err = float(per_batch.std(ddof=1) / np.sqrt(per_batch.size))
     else:

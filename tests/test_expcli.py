@@ -1,13 +1,21 @@
 """Sweep harness, slope fitting, report emission, and the CLI surface."""
 
 import json
+import logging
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aoilab import SchemeParams, closed_form_age, estimate_age_moment_formula, simulate_sessions
+from aoilab import (
+    SchemeParams,
+    closed_form_age,
+    estimate_age_moment_formula,
+    expcli,
+    simulate_sessions,
+)
 from aoilab.expcli import (
     _BASELINE_OFFSET,
     _POINT_STRIDE,
@@ -162,6 +170,26 @@ class TestRunSweep:
         assert [row.m for row in rows] == [16, 32]
         for row in rows:
             assert abs(row.delta_sim - row.delta_analytic) < 5 * row.delta_sim_stderr
+
+    def test_five_se_warning_covers_both_delivery_modes(self, caplog, monkeypatch):
+        # Both delivery modes keep the marginals of D and Y, all the closed
+        # form needs; it bounds the exact variant but is not its age.
+        def offset(params):
+            return SimpleNamespace(total=closed_form_age(params).total + 10.0)
+
+        monkeypatch.setattr(expcli, "closed_form_age", offset)
+        cases = [("worsened", "independent", True), ("worsened", "coupled", True),
+                 ("exact", "independent", False)]
+        for variant, delivery, warns in cases:
+            caplog.clear()
+            config = SweepConfig(
+                n_grid=(64,), sessions=2000, master_seed=5, variant=variant,
+                delivery_mode=delivery,
+            )
+            with caplog.at_level(logging.WARNING, logger="aoilab.expcli"):
+                run_sweep(config, timing=False)
+            warned = any("5 standard errors" in r.getMessage() for r in caplog.records)
+            assert warned == warns, (variant, delivery)
 
     def test_timeline_column_only_for_coupled(self):
         base = dict(n_grid=(64,), sessions=1000, master_seed=2)

@@ -278,19 +278,22 @@ class TestGammaFromUniform:
         with pytest.raises(ValueError):
             _gamma_quantile_table(384)[0, 0] = 0.0
 
-    def test_first_build_on_threads_is_bit_identical(self, monkeypatch):
+    def test_first_build_on_threads_is_bit_identical(self, fills, monkeypatch):
         # Four threads on any machine, switching every microsecond, each
-        # building the cleared table for its first batch at once.
+        # building the cleared table for its first chunk at once: 512 rows
+        # of 28 padded uniforms in chunks of 128 rows.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 128 * 28)
         params = SchemeParams(4096, 8)
         _gamma_quantile_table.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = simulate_sessions(params, 512, master_seed=45, workers=4, batch_size=64)
+            threaded = simulate_sessions(params, 512, master_seed=45, workers=4)
         finally:
             sys.setswitchinterval(interval)
-        serial = simulate_sessions(params, 512, master_seed=45, batch_size=64)
+        assert [rows for _, rows, _ in fills] == [128] * 4
+        serial = simulate_sessions(params, 512, master_seed=45)
         for col in ("y1", "y2", "y3", "z", "d", "y"):
             assert np.array_equal(getattr(threaded, col), getattr(serial, col))
         assert threaded.batch_summaries == serial.batch_summaries

@@ -95,17 +95,19 @@ class TestWorsenedSampler:
         for col in (run.y1, run.y2, run.y3, run.z):
             assert np.all(col > 0)
 
-    def test_scalar_matches_batch_row(self):
+    def test_scalar_matches_batch_row(self, monkeypatch):
         # Session 0, the first session of the second batch and the last one
         # replay bit for bit from their own streams, in both delivery modes.
+        # 4-row chunks make session 32 the first row of a later chunk too.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(64, 4)
         width = _worsened_width(params)
         for mode in DeliveryMode:
             run = simulate_sessions(
                 params, 64, delivery=mode, master_seed=7, base_stream_index=3,
-                batch_size=16,
             )
-            for s in (0, 16, 63):
+            assert [s.count for s in run.batch_summaries] == [32, 32]
+            for s in (0, 32, 63):
                 stream = session_stream(7, 3, s, width)
                 sample = sample_session_worsened(params, stream, mode)
                 assert sample.y == run.y[s]
@@ -170,11 +172,12 @@ class TestExactSampler:
         )
         assert np.all(run.d <= run.y)
 
-    def test_scalar_matches_batch_row(self):
+    def test_scalar_matches_batch_row(self, fills, monkeypatch):
+        # Session 0, the first row of the second 4-row chunk and the last one.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(64, 4)
-        run = simulate_sessions(
-            params, 16, variant=Variant.EXACT, master_seed=5, batch_size=4
-        )
+        run = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=5)
+        assert [rows for _, rows, _ in fills] == [4, 4, 4, 4]
         for s in (0, 4, 15):
             stream = session_stream(5, 0, s, _exact_width(params))
             sample = sample_session_exact(params, stream)
@@ -272,14 +275,17 @@ class TestPhaseTwo:
         assert _phase_two_width(SchemeParams(15, 1)) == 15
         assert _exact_width(SchemeParams(4096, 8)) == 4096 + 8 + 4096 + 1
 
-    def test_gamma_path_sessions_replay(self):
+    def test_gamma_path_sessions_replay(self, monkeypatch):
+        # 96 sessions make 3 batches of 32; 4-row chunks start at session 32.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(4096, 8)
         cases = [(Variant.WORSENED, mode) for mode in DeliveryMode]
         for variant, mode in cases + [(Variant.EXACT, DeliveryMode.INDEPENDENT)]:
             run = simulate_sessions(
                 params, 96, variant=variant, delivery=mode, master_seed=415,
-                base_stream_index=2, batch_size=32,
+                base_stream_index=2,
             )
+            assert [s.count for s in run.batch_summaries] == [32, 32, 32]
             for s in (0, 32, 95):
                 if variant == Variant.WORSENED:
                     stream = session_stream(415, 2, s, _worsened_width(params))
@@ -326,13 +332,14 @@ class TestMomentSummary:
         for field in ("sum_y", "sum_y_sq", "sum_d", "sum_d_sq", "sum_dy"):
             assert getattr(left, field) == pytest.approx(getattr(right, field), rel=1e-12)
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, fills):
+        # 20 000 rows of 16 padded uniforms make 10 chunks of up to 2048.
         params = SchemeParams(64, 4)
         totals = []
         for workers in (1, 4, 16):
-            run = simulate_sessions(
-                params, 20_000, master_seed=9, workers=workers, batch_size=1024
-            )
+            fills.clear()
+            run = simulate_sessions(params, 20_000, master_seed=9, workers=workers)
+            assert len(fills) == 10
             totals.append(run.total_summary())
         assert totals[0] == totals[1] == totals[2]
 
@@ -400,6 +407,14 @@ class TestEstimators:
         assert gap < 0.03
         assert timeline.std_err > 0
 
+    def test_timeline_std_err_needs_two_batches_of_segments(self):
+        # n sessions make n - 1 segments between deliveries; 64 make 2 batches.
+        params = SchemeParams(64, 4)
+        for sessions in (2, 64, 65, 1000):
+            run = simulate_sessions(params, sessions, delivery="coupled", master_seed=13)
+            std_err = integrate_age_timeline(run).std_err
+            assert np.isnan(std_err) if sessions < 65 else std_err > 0, sessions
+
     def test_timeline_rejects_late_deliveries(self):
         sessions = [
             SessionSample(0.1, 0.1, 1.0, 2.0, 2.2, 1.2, Variant.WORSENED),
@@ -451,11 +466,12 @@ class TestRoundRobin:
         sq = run.y**2
         assert abs(sq.mean() - (n * n + n) / rate**2) < 4 * _se(sq)
 
-    def test_batch_rows_replay_from_session_stream(self):
+    def test_batch_rows_replay_from_session_stream(self, monkeypatch):
+        # 96 sessions make 3 batches of 32; 4-row chunks start at session 32.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         n, rate = 6, 1.0
-        run = simulate_round_robin(
-            n, rate, 96, master_seed=605, base_stream_index=1 << 31, batch_size=32
-        )
+        run = simulate_round_robin(n, rate, 96, master_seed=605, base_stream_index=1 << 31)
+        assert [s.count for s in run.batch_summaries] == [32, 32, 32]
         for s in (0, 32, 95):
             u = session_stream(605, 1 << 31, s, 3).random(3)[None, :]
             cols = _round_robin_kernel(u, n, rate)
@@ -490,47 +506,44 @@ class TestSimulateSessions:
         params = SchemeParams(64, 4)
         few = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=12)
         assert [s.count for s in few.batch_summaries] == [16]
+        assert few.batch_size == 16
         assert np.isnan(estimate_age_moment_formula(few.batch_summaries).std_err)
         run = simulate_sessions(params, 100, variant=Variant.EXACT, master_seed=12)
-        counts = [s.count for s in run.batch_summaries]
-        assert sum(counts) == 100 and min(counts) >= 32
+        assert [s.count for s in run.batch_summaries] == [33, 33, 34]
+        assert run.batch_size == 34
         assert estimate_age_moment_formula(run.batch_summaries).std_err > 0
 
-    def test_arrays_bitwise_stable_across_workers(self):
-        # (4096, 8) draws phase two from gamma quantiles.  2500 sessions in
-        # batches of 512 and 300 in batches of 64 make 5 batches, which no
-        # worker count above 1 divides; 100 sessions make 32 + 32 + 36.
+    def test_arrays_bitwise_stable_across_workers(self, fills):
+        # (4096, 8) draws phase two from gamma quantiles.  Its worsened runs
+        # make 7 and 3 chunks and its exact run 75 chunks of 4 rows, which no
+        # worker count above 1 divides; 100 sessions make 33 + 33 + 34.
         cases = [
-            lambda w: simulate_sessions(
-                SchemeParams(64, 4), 8_000, master_seed=11, workers=w, batch_size=512
-            ),
-            lambda w: simulate_sessions(
-                SchemeParams(4096, 8), 8_000, master_seed=11, workers=w, batch_size=512
-            ),
+            lambda w: simulate_sessions(SchemeParams(64, 4), 8_000, master_seed=11, workers=w),
+            lambda w: simulate_sessions(SchemeParams(4096, 8), 8_000, master_seed=11, workers=w),
             lambda w: simulate_sessions(
                 SchemeParams(4096, 8), 2_500, delivery=DeliveryMode.COUPLED,
-                master_seed=11, workers=w, batch_size=512,
+                master_seed=11, workers=w,
             ),
             lambda w: simulate_sessions(
-                SchemeParams(4096, 8), 300, variant=Variant.EXACT,
-                master_seed=11, workers=w, batch_size=64,
+                SchemeParams(4096, 8), 300, variant=Variant.EXACT, master_seed=11, workers=w
             ),
             lambda w: simulate_sessions(
                 SchemeParams(64, 4), 100, variant=Variant.EXACT, master_seed=11, workers=w
             ),
-            lambda w: simulate_round_robin(
-                1024, 1.0, 2_500, master_seed=11, workers=w, batch_size=512
-            ),
+            lambda w: simulate_round_robin(1024, 1.0, 2_500, master_seed=11, workers=w),
         ]
-        batches = []
+        batches, chunks = [], []
         for case in cases:
+            fills.clear()
             runs = [case(w) for w in (1, 2, 4)]
             batches.append(len(runs[0].batch_summaries))
+            chunks.append(len(fills) // 3)
             for run in runs[1:]:
                 for col in ("y1", "y2", "y3", "z", "d", "y"):
                     assert np.array_equal(getattr(runs[0], col), getattr(run, col))
                 assert run.batch_summaries == runs[0].batch_summaries
-        assert batches == [16, 16, 5, 5, 3, 5]
+        assert batches == [32, 32, 32, 9, 3, 32]
+        assert chunks == [4, 7, 3, 75, 1, 1]
 
     def test_rejects_invalid_worker_counts(self):
         for workers in (0, -5):
@@ -542,17 +555,6 @@ class TestSimulateSessions:
             # Refused before the columns of 2^40 sessions are allocated.
             with pytest.raises(ValueError, match=match):
                 simulate_sessions(SchemeParams(65536, 16), 2**40, workers=workers)
-
-    def test_rejects_invalid_batch_sizes(self):
-        for batch_size in (0, -1):
-            match = f"batch_size must be >= 1, got {batch_size}"
-            with pytest.raises(ValueError, match=match):
-                simulate_sessions(SchemeParams(64, 4), 100, batch_size=batch_size)
-            with pytest.raises(ValueError, match=match):
-                simulate_round_robin(64, 1.0, 100, batch_size=batch_size)
-            # Refused before the columns of 2^40 sessions are allocated.
-            with pytest.raises(ValueError, match=match):
-                simulate_sessions(SchemeParams(64, 4), 2**40, batch_size=batch_size)
 
 
 @pytest.fixture
@@ -571,20 +573,6 @@ def executors(monkeypatch):
     return started
 
 
-@pytest.fixture
-def fills(monkeypatch):
-    """``(first_session, rows, width)`` of every fill ``_run_batches`` makes."""
-    calls = []
-    fill = scheme.fill_stream_rows
-
-    def recording(master_seed, base_stream_index, first_session, rows, width):
-        calls.append((first_session, rows, width))
-        return fill(master_seed, base_stream_index, first_session, rows, width)
-
-    monkeypatch.setattr(scheme, "fill_stream_rows", recording)
-    return calls
-
-
 def _assert_same_run(a, b):
     for col in scheme._COLUMNS:
         assert np.array_equal(getattr(a, col), getattr(b, col)), col
@@ -593,34 +581,34 @@ def _assert_same_run(a, b):
 
 class TestBatchWorkers:
     # SchemeParams(64, 8) has 8 cells, below the gamma table's shape floor,
-    # so phase two stays per cell: rows hold 27 uniforms, padded to 28.  At
-    # 2000 sessions the 32 batches of 63 rows (1764 uniforms each) make two
-    # chunks, of 18 and 14 batches.
+    # so phase two stays per cell: rows hold 27 uniforms, padded to 28.  A
+    # chunk holds 32768 // 28 = 1170 rows, so 2000 sessions make two chunks,
+    # of 1170 and 830 rows.
 
     def test_threads_bounded_by_cpus_and_batches(self, executors, monkeypatch):
         params = SchemeParams(64, 8)
         serial = simulate_sessions(params, 2000, master_seed=4)
         assert len(serial.batch_summaries) == 32
         two_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)  # one batch a chunk
-        per_batch = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
-        two = simulate_sessions(params, 64, master_seed=4, workers=10**6, batch_size=32)
-        # Bounded by the chunks (2), by the 3 CPUs (32 chunks), by the chunks (2).
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)  # 4-row chunks
+        small_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
+        two = simulate_sessions(params, 8, master_seed=4, workers=10**6)
+        # Bounded by the chunks (2), by the 3 CPUs (500 chunks), by the chunks (2).
         assert executors == [2, 3, 2]
         _assert_same_run(serial, two_chunks)
-        _assert_same_run(serial, per_batch)
-        assert len(two.batch_summaries) == 2
+        _assert_same_run(serial, small_chunks)
+        assert len(two.batch_summaries) == 1
 
     def test_batch_error_reaches_caller_and_threads_end(self, executors, monkeypatch):
         kernel = scheme._worsened_kernel
 
         def failing(u, params, mode):
-            if u.shape[0] == 36:  # the chunk of the last of batches 32 + 32 + 36
+            if u.shape[0] == 36:  # the second chunk, rows 64 to 99
                 raise RuntimeError("kernel failed")
             return kernel(u, params, mode)
 
         monkeypatch.setattr(scheme, "_worsened_kernel", failing)
-        # Room for the first two batches' 64 rows of 28 uniforms, not the third.
+        # Room for 64 rows of 28 uniforms a chunk.
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 28)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="kernel failed"):
@@ -640,7 +628,7 @@ class TestBatchWorkers:
         caller = (os.getpid(), threading.get_ident())
         params = SchemeParams(64, 8)
         # One worker, or a single chunk, runs inline on the caller's thread:
-        # two chunks on one worker, then one chunk of 3 batches and one of 1.
+        # two chunks on one worker, then one chunk of 100 rows and one of 16.
         simulate_sessions(params, 2000, workers=1)
         simulate_sessions(params, 100, workers=2)
         simulate_sessions(params, 16, workers=2)
@@ -654,25 +642,25 @@ class TestBatchWorkers:
 
     def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
         # Eight threads on any machine, switching every microsecond: a chunk
-        # writing outside its slice or a summary out of order would show.
+        # writing outside its slice would show.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
         params = SchemeParams(256, 32)
-        serial = simulate_sessions(params, 4096, master_seed=6, batch_size=64)
-        # 8 cells keep phase two per cell: 64 batches of 64 rows of 75
-        # uniforms, padded to 76, make 11 chunks of up to 6.
-        assert len(fills) == 11
+        serial = simulate_sessions(params, 4096, master_seed=6)
+        # 8 cells keep phase two per cell: rows of 75 uniforms, padded to 76,
+        # make 10 chunks of up to 431 rows across 32 batches of 128.
+        assert len(fills) == 10
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = simulate_sessions(params, 4096, master_seed=6, workers=8, batch_size=64)
+            threaded = simulate_sessions(params, 4096, master_seed=6, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert executors == [8]
         _assert_same_run(serial, threaded)
 
 
-# Runs that cover each kernel and delivery mode, batches wider than a chunk,
-# the sweep-quarter points and a 32 + 32 + 36 remainder.
+# Runs that cover each kernel and delivery mode, rows wider than a chunk's
+# budget, the sweep-quarter points and 100 sessions, which 32 does not divide.
 _CHUNK_CASES = {
     "worsened-independent": lambda w: simulate_sessions(
         SchemeParams(1024, 8), 2000, master_seed=11, workers=w),
@@ -698,8 +686,11 @@ class TestChunkPlan:
     def test_outputs_identical_across_chunk_plans(self, case, monkeypatch):
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
         reference = _CHUNK_CASES[case](1)
+        counts = [s.count for s in reference.batch_summaries]
         if case == "remainder":
-            assert [s.count for s in reference.batch_summaries] == [32, 32, 36]
+            assert counts == [33, 33, 34]
+        if case == "exact-wide":  # 9 batches across chunks of 15 rows
+            assert counts == [33, 33, 34, 33, 33, 34, 33, 33, 34]
         for budget in (1, scheme._CHUNK_UNIFORMS, 2**40):
             monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
             for workers in (1, 2, 4):
@@ -707,6 +698,10 @@ class TestChunkPlan:
 
     @pytest.mark.parametrize("case", ["exact-wide", "quarter-4096", "round-robin", "remainder"])
     def test_chunks_cover_whole_batches_within_budget(self, case, fills, monkeypatch):
+        # Chunks are runs of rows, apart from the batches: they tile the run
+        # in order, each holds at most max(budget, 4 rows) padded uniforms,
+        # each but the last is as long as that allows, and the plan is the
+        # same for any worker count.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
         plans = []
         for workers in (1, 2, 4):
@@ -715,20 +710,35 @@ class TestChunkPlan:
             plans.append(sorted(fills))
         assert plans[0] == plans[1] == plans[2]
 
-        counts = [s.count for s in run.batch_summaries]
-        bounds = np.cumsum([0] + counts)
         padded = 4 * (-(-plans[0][0][2] // 4))
-        budget = scheme._CHUNK_UNIFORMS
+        room = max(scheme._CHUNK_UNIFORMS, 4 * padded)
         position = 0
         for first, rows, _ in plans[0]:
             assert first == position  # chunks tile the run in order
-            a = int(np.searchsorted(bounds, first))
-            b = int(np.searchsorted(bounds, first + rows))
-            assert bounds[a] == first and bounds[b] == first + rows  # whole batches
-            assert rows * padded <= budget or b - a == 1
-            if b < len(counts):  # the next batch would not have fitted
-                assert (rows + counts[b]) * padded > budget
+            assert rows * padded <= room
+            if first + rows < run.sessions:  # one more row would not fit
+                assert (rows + 1) * padded > room
             position += rows
         assert position == run.sessions
-        expected = {"exact-wide": 9, "quarter-4096": 11, "round-robin": 2, "remainder": 1}
-        assert len(plans[0]) == expected[case]
+        expected = {
+            "exact-wide": (20, 15), "quarter-4096": (9, 1170),
+            "round-robin": (2, 8192), "remainder": (1, 100),
+        }
+        assert (len(plans[0]), plans[0][0][1]) == expected[case]
+
+    def test_widest_rows_fill_four_at_a_time(self, fills):
+        # An exact (65536, 16) row holds 131 089 uniforms, 1 MiB: each fill
+        # holds the 4-row floor, not a 32-session batch.
+        simulate_sessions(SchemeParams(65536, 16), 64, variant="exact", master_seed=3)
+        assert [rows for _, rows, _ in fills] == [4] * 16
+
+
+class TestBatchBounds:
+    def test_near_equal_batches_of_at_least_32(self):
+        for count in [*range(1, 5001), 10**6 + 7, 2**40]:
+            bounds = scheme._batch_bounds(count)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == count
+            assert sizes.size == min(32, max(1, count // 32))
+            assert sizes.max() - sizes.min() <= 1
+            assert sizes.size == 1 or sizes.min() >= 32
