@@ -11,7 +11,8 @@ Source-destination pairs avoid sharing a cell.  Whether such a pairing
 exists is decided exactly (Hall's condition), and one is drawn uniformly
 by a lazy Markov-chain walk over admissible permutations, so pairing
 never gives up on a feasible topology.  The protocol check compares
-link pairs in fixed-size numpy blocks, so its memory stays linear in
+only links in neighbouring buckets of a grid as wide as the largest
+guard zone, in fixed-size numpy blocks, so its memory stays linear in
 the number of links.
 """
 
@@ -19,13 +20,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 TDMA_GROUPS = 9
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
 _PAIR_BLOCK = 4096  # node pairs per block of the protocol and farthest-pair checks
+# Protocol-check buckets: the side exceeds the largest threshold by this
+# relative margin; a bucket's key is column * 2**26 + row, exact in float64
+# while |column| and |row| stay within 2**24 + 1.
+_BUCKET_MARGIN = 2.0**-20
+_BUCKET_KEY = np.array([2.0**26, 1.0])
+_NEIGHBOURS = np.array([dx * 2.0**26 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+_RUN = np.array([0.0, 0.5])  # searchsorted edges of the entries under one key
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,8 @@ class Topology:
     grid: CellGrid | None = None
     cell_of: np.ndarray | None = None
     pairing: np.ndarray | None = None
+    # Farthest in-cell pairs, built by the first same_cell_transmissions call.
+    _farthest: _FarthestPairs | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -117,16 +127,24 @@ def assign_pairs(
     else raises ``RuntimeError`` naming the largest class.
 
     The walk starts from the nodes sorted by label and shifted by the
-    largest class size, which is admissible.  Each sweep splits one
-    ``stream.permutation(n)`` into disjoint pairs that propose to swap
-    destinations, and a second one into disjoint triples that propose to
-    rotate them.  A proposal that stays admissible is applied with
-    probability 1/2 (one ``stream.random`` draw each).  The proposal is
-    symmetric and lazy, so the uniform law on admissible permutations is
-    stationary; swaps alone leave some small occupancy patterns
-    disconnected, and the 3-cycles join them.  A fixed
+    largest class size, which is admissible.  Each sweep draws one
+    shuffle, ``stream.permutation(n)``, and runs two steps on it: first
+    the shuffle split into disjoint pairs proposes to swap destinations,
+    then the same shuffle split into disjoint triples proposes to rotate
+    them.  A proposal that stays admissible is applied with probability
+    1/2 (one ``stream.random`` draw each).  Swaps alone leave some small
+    occupancy patterns disconnected, and the 3-cycles join them.  A fixed
     ``3*ceil(log2 n) + 32`` sweeps run, in the spirit of the
     random-transposition shuffle (Diaconis and Shahshahani, 1981).
+
+    The uniform law on admissible permutations is stationary because the
+    swaps come first.  For a fixed shuffle the swap step is symmetric, so
+    its columns sum to 1, and the sweep's column sums are those of the
+    3-cycle step alone.  Averaged over the uniform shuffle, which lists
+    each triple in either orientation equally often, the 3-cycle step is
+    symmetric, so those sums are 1.  Run the other way round, the 3-cycle
+    step's column sums would be weighted by a swap step drawn from the
+    same shuffle, and the average need not be 1.
 
     Returns the pairing and the number of proposals not applied, because
     they were inadmissible or lost the coin.
@@ -152,9 +170,10 @@ def assign_pairs(
     rejected = 0
     sweeps = 3 * max(n - 1, 0).bit_length() + 32  # 3*ceil(log2 n) + 32
     for _ in range(sweeps):
-        for size, rotate in moves:
+        shuffle = stream.permutation(n)
+        for size, rotate in moves:  # swaps, then 3-cycles: see the docstring
             groups = n // size
-            nodes = stream.permutation(n)[: groups * size].reshape(groups, size).T
+            nodes = shuffle[: groups * size].reshape(groups, size).T
             dest = perm[nodes]
             moved = dest[rotate]
             admissible = np.logical_and.reduce(label[moved] != label[nodes])
@@ -215,43 +234,122 @@ def check_protocol_model(
     link) order of the list.  An empty result means the configuration is
     admissible.
 
-    Distances are computed in blocks of about ``_PAIR_BLOCK`` link pairs,
-    so memory stays linear in the number of links.
+    Only nearby links are compared.  Link ends fall into square buckets
+    whose side exceeds every threshold (1 + gamma) * d(rx, tx), so a
+    transmitter inside a receiver's guard zone lies in one of the 3x3
+    buckets around the receiver's.  Those candidate link pairs are
+    expanded in blocks of at most ``_PAIR_BLOCK`` pairs, or one receiver's
+    candidates if it has more, so memory stays linear in the number of
+    links.  With a large gamma all links share a few buckets, and every
+    pair is compared.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     links = np.asarray(transmissions, dtype=np.int64).reshape(len(transmissions), 2)
     tx, rx = links[:, 0], links[:, 1]
-    same = np.flatnonzero(tx == rx)
-    if same.size:
-        raise ValueError(f"transmitter and receiver coincide: node {tx[same[0]]}")
-    pos = topology.positions
-    d_own = _distances(pos[rx] - pos[tx])
+    if (tx == rx).any():
+        raise ValueError(f"transmitter and receiver coincide: node {tx[(tx == rx).argmax()]}")
+    ends = topology.positions[links]  # (links, 2, 2): transmitter, then receiver
+    tx_pos, rx_pos = ends[:, 0], ends[:, 1]
+    d_own = _distances(rx_pos - tx_pos)
     threshold = (1.0 + gamma) * d_own
-    tx_ids, rx_ids = tx.tolist(), rx.tolist()
+    reach = float(np.fmax.reduce(threshold, initial=0.0))
+    if not reach > 0.0:
+        return []  # no distance is below a zero threshold
+
+    # A transmitter closer to a receiver than its threshold is, along each
+    # axis, less than reach * (1 + 2**-50) away (a computed distance may be
+    # a few ulps short), so less than a side.  floor_divide gives the exact
+    # floor of each quotient, so the two bucket coordinates differ by at
+    # most 1.  The second bound keeps quotients within 2**24.
+    side = max(reach * (1.0 + _BUCKET_MARGIN), float(np.abs(ends).max()) * 2.0**-24)
+    key = (ends // side) @ _BUCKET_KEY  # (links, 2): transmitter's, receiver's
+    # Each transmitter is entered under its own bucket and the 8 around it,
+    # so a receiver's candidates are one run of entries under its bucket,
+    # in ascending link order (the sort is stable).
+    entry = (key[:, :1] + _NEIGHBOURS).ravel()
+    order = entry.argsort(kind="stable")
+    bounds = entry[order].searchsorted(key[:, 1:] + _RUN)
+    count = bounds[:, 1] - bounds[:, 0]
+    run_end = count.cumsum()
+    shift = bounds[:, 0] - run_end + count  # flat candidate index -> sorted entry
+    source = order // len(_NEIGHBOURS)  # link of each sorted entry
+
     violations: list[Violation] = []
-    rows = max(1, _PAIR_BLOCK // max(len(links), 1))
-    for lo in range(0, len(links), rows):
-        hi = min(lo + rows, len(links))
-        d_int = _distances(pos[rx[lo:hi], None, :] - pos[None, tx, :])
-        hit = (d_int < threshold[lo:hi, None]) & (tx[None, :] != tx[lo:hi, None])
-        i, j = np.nonzero(hit)
-        d = d_int[i, j]
-        i += lo
-        for link, other, d_i, d_k, t in zip(
-            i.tolist(), j.tolist(), d_own[i].tolist(), d.tolist(), threshold[i].tolist()
-        ):
-            violations.append(
-                Violation(
-                    receiver=rx_ids[link],
-                    transmitter=tx_ids[link],
-                    interferer=tx_ids[other],
-                    d_own=d_i,
-                    d_interferer=d_k,
-                    margin=d_k - t,
-                )
+    lo = 0  # first receiver of the block
+    while lo < len(links):
+        # Whole runs: up to _PAIR_BLOCK candidate pairs, or else one receiver's.
+        start = int(run_end[lo] - count[lo])
+        hi = max(lo + 1, int(run_end.searchsorted(start + _PAIR_BLOCK, side="right")))
+        size = count[lo:hi]
+        i = np.arange(lo, hi).repeat(size)
+        j = source[np.arange(start, start + len(i)) + shift[lo:hi].repeat(size)]
+        d_int = _distances(rx_pos[i] - tx_pos[j])
+        hit = ((d_int < threshold[i]) & (tx[j] != tx[i])).nonzero()[0]
+        lo = hi
+        if not hit.size:
+            continue
+        i, j, d_int = i[hit], j[hit], d_int[hit]
+        tx_ids, rx_ids = tx.tolist(), rx.tolist()
+        violations += [
+            Violation(
+                receiver=rx_ids[link],
+                transmitter=tx_ids[link],
+                interferer=tx_ids[other],
+                d_own=d_i,
+                d_interferer=d_k,
+                margin=d_k - t,
             )
+            for link, other, d_i, d_k, t in zip(
+                i.tolist(), j.tolist(), d_own[i].tolist(), d_int.tolist(), threshold[i].tolist()
+            )
+        ]
     return violations
+
+
+@dataclass(frozen=True)
+class _FarthestPairs:
+    """Each shared cell's farthest-apart node pair, for given cells and positions."""
+
+    cell_of: np.ndarray
+    positions: np.ndarray
+    cells: np.ndarray  # ascending ids of the cells holding 2+ nodes
+    pairs: np.ndarray  # (cells, 2): each one's farthest pair of node ids
+
+    @classmethod
+    def build(cls, cell_of: np.ndarray, positions: np.ndarray) -> "_FarthestPairs":
+        # Stable, so each cell's members come in ascending node id.
+        order = cell_of.argsort(kind="stable")
+        sorted_cells = cell_of[order]
+        starts = np.diff(sorted_cells, prepend=sorted_cells[:1] - 1).nonzero()[0]
+        sizes = np.diff(starts, append=len(order))
+        shared = sizes >= 2
+        starts, sizes = starts[shared], sizes[shared]
+        coords = positions[order].T.copy()  # x row, y row, in sorted order
+        pairs = np.empty((len(starts), 2), dtype=order.dtype)  # indices into order
+        # Cells in ascending occupancy, in blocks padded to the block's
+        # largest occupancy k: up to _PAIR_BLOCK node pairs, or else one cell.
+        by_size = sizes.argsort(kind="stable")
+        lo = 0
+        while lo < len(by_size):
+            fit = max(1, _PAIR_BLOCK // int(sizes[by_size[lo]]) ** 2)
+            largest = int(sizes[by_size[min(lo + fit, len(by_size)) - 1]])
+            hi = lo + max(1, min(fit, _PAIR_BLOCK // largest**2))
+            block = by_size[lo:hi]
+            k = int(sizes[block[-1]])
+            # Padding repeats a cell's last member.  Each padded entry of the
+            # distance matrix equals an earlier one in row-major order, so
+            # argmax never picks it.
+            members = starts[block, None] + np.minimum(np.arange(k), sizes[block, None] - 1)
+            diff = np.empty((len(block), k, k, 2))
+            for axis, c in enumerate(coords[:, members]):
+                np.subtract(c[:, :, None], c[:, None, :], out=diff[..., axis])
+            dist = _distances(diff)
+            i, j = np.divmod(dist.reshape(len(block), k * k).argmax(axis=1), k)
+            cell = np.arange(len(block))
+            pairs[block, 0], pairs[block, 1] = members[cell, i], members[cell, j]
+            lo = hi
+        return cls(cell_of, positions, sorted_cells[starts], order[pairs])
 
 
 def same_cell_transmissions(
@@ -263,32 +361,26 @@ def same_cell_transmissions(
     pair (the longest own-link the protocol model could face); of equally
     far pairs, the first in row-major order of the cell's distance matrix
     over ascending node ids.  Cells with fewer than two nodes are skipped.
-    Cells of equal occupancy k are handled together, in blocks of about
-    ``_PAIR_BLOCK`` node pairs.
+    The first call finds every cell's pair and keeps the table on the
+    topology; later calls look cells up in it until the topology's
+    ``cell_of`` or ``positions`` is replaced by another array (arrays
+    edited in place are not noticed).
     """
     if topology.cell_of is None:
         raise ValueError("topology has no cell assignment")
-    order = np.argsort(topology.cell_of, kind="stable")
-    sorted_cells = topology.cell_of[order]
-    wanted = np.asarray(cells, dtype=sorted_cells.dtype)
-    starts = np.searchsorted(sorted_cells, wanted, side="left")
-    sizes = np.searchsorted(sorted_cells, wanted, side="right") - starts
-    listed = np.flatnonzero(sizes >= 2)
-    first = np.empty(len(wanted), dtype=order.dtype)
-    second = np.empty(len(wanted), dtype=order.dtype)
-    for k in np.unique(sizes[listed]).tolist():
-        at = listed[sizes[listed] == k]
-        rows = max(1, _PAIR_BLOCK // (k * k))
-        for lo in range(0, len(at), rows):
-            block = at[lo : lo + rows]
-            # Ascending node ids per cell: the sort is stable.
-            members = order[starts[block, None] + np.arange(k)]
-            pts = topology.positions[members]
-            dist = _distances(pts[:, :, None, :] - pts[:, None, :, :])
-            i, j = np.divmod(dist.reshape(len(block), k * k).argmax(axis=1), k)
-            cell = np.arange(len(block))
-            first[block], second[block] = members[cell, i], members[cell, j]
-    return list(zip(first[listed].tolist(), second[listed].tolist()))
+    table = topology._farthest
+    if (
+        table is None
+        or table.cell_of is not topology.cell_of
+        or table.positions is not topology.positions
+    ):
+        table = _FarthestPairs.build(topology.cell_of, topology.positions)
+        topology._farthest = table
+    if not table.cells.size:
+        return []
+    wanted = np.asarray(cells, dtype=table.cells.dtype)
+    at = np.minimum(table.cells.searchsorted(wanted), table.cells.size - 1)
+    return list(map(tuple, table.pairs[at[table.cells[at] == wanted]].tolist()))
 
 
 def corner_case_witness(area: float = 1.0, cells_per_side: int = 5) -> tuple[Topology, list[tuple[int, int]]]:

@@ -60,7 +60,7 @@ def test_criterion_1_order_statistic_moments():
             dev_mean = abs(scaled.mean() - expected.mean) / se_mean
             centered = scaled - scaled.mean()
             sample_var = scaled.var(ddof=1)
-            m4 = np.mean(centered**4)
+            m4 = np.mean(np.square(np.square(centered)))  # pow on negative doubles is slow
             se_var = sqrt(max(m4 - sample_var**2, 0.0) / scaled.size)
             dev_var = abs(sample_var - expected.variance) / se_var
             assert dev_mean < 4.0, (k, n, rate, "mean", dev_mean)

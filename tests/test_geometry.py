@@ -260,22 +260,23 @@ class TestAssignPairs:
     def test_draws_only_permutations_and_uniforms(self):
         class Recorder:
             def __init__(self, gen):
-                self.gen, self.calls = gen, set()
+                self.gen, self.calls = gen, []
 
             def permutation(self, n):
-                self.calls.add("permutation")
+                self.calls.append("permutation")
                 return self.gen.permutation(n)
 
             def random(self, size):
-                self.calls.add("random")
+                self.calls.append("random")
                 return self.gen.random(size)
 
         topo, stream = _topology(seed=23)
         recorder = Recorder(stream)
         pairing, rejected = assign_pairs(topo, recorder)
         _assert_admissible(pairing, topo.cell_of)
-        assert recorder.calls == {"permutation", "random"}
         sweeps = 3 * math.ceil(math.log2(topo.n)) + 32
+        # One shuffle per sweep, shared by the swap and the 3-cycle step.
+        assert recorder.calls == ["permutation", "random", "random"] * sweeps
         assert 0 < rejected < sweeps * (topo.n // 2 + topo.n // 3)
 
     @pytest.mark.parametrize(
@@ -286,7 +287,9 @@ class TestAssignPairs:
     def test_exactly_uniform_over_admissible_pairings(self, pattern):
         # Every admissible pairing of a small occupancy pattern is drawn
         # equally often; a walk that cannot reach some pairings, or has not
-        # forgotten its start, fails the chi-square test.
+        # forgotten its start, fails the chi-square test.  Each sweep runs
+        # its swaps before its 3-cycles on one shared shuffle; the proof
+        # that the law is uniform needs that order (see assign_pairs).
         topo = _labelled(pattern)
         n = topo.n
         admissible = [
@@ -405,6 +408,62 @@ class TestProtocolModel:
                     got = check_protocol_model(topo, links, gamma)
                     _same_violations(got, _reference_check_protocol_model(topo, links, gamma))
 
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_edge_cases_match_reference(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        # Bucket side for a largest threshold of 2 (gamma = 1, own links of
+        # length 1): nodes at multiples of it sit exactly on bucket edges.
+        side = 2.0 * (1.0 + geometry._BUCKET_MARGIN)
+        y = 0.25
+        on_edges = Topology(
+            area_side=4.0 * side,
+            positions=np.array(
+                [
+                    [side - 1.5, y], [side - 0.5, y],  # link 0: own link 1, threshold 2
+                    [side, y], [side + 0.25, y],  # link 1: on an edge, 0.5 from rx 0
+                    [side + 1.5, y], [side + 1.75, y],  # link 2: exactly 2 from rx 0
+                    [2.0 * side, y], [2.0 * side, y + 1.0],  # link 3: two buckets over
+                    [side - 0.5, side], [side - 0.5, side - 1.0],  # link 4: on a row edge
+                ]
+            ),
+        )
+        links = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+        got = check_protocol_model(on_edges, links, 1.0)
+        _same_violations(got, _reference_check_protocol_model(on_edges, links, 1.0))
+        hits = {(v.transmitter, v.interferer) for v in got}
+        assert (0, 2) in hits  # interferer on the edge of the next bucket
+        assert (0, 8) in hits  # interferer on the edge of the next bucket row
+        assert (0, 4) not in hits  # d_int == threshold: strict, so admissible
+
+        # d_int == threshold exactly, and one ulp inside it.
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [3.0, 1.0],
+                        [np.nextafter(3.0, 0.0), 0.0], [np.nextafter(3.0, 0.0), 0.5]])
+        line = Topology(area_side=4.0, positions=pos)
+        for links, expected in [([(0, 1), (2, 3)], 0), ([(0, 1), (4, 5)], 1)]:
+            got = check_protocol_model(line, links, 1.0)
+            _same_violations(got, _reference_check_protocol_model(line, links, 1.0))
+            assert sum(v.transmitter == 0 for v in got) == expected
+
+        # A gamma so large that every link shares one bucket: all pairs of
+        # distinct transmitters violate.
+        stream = make_stream(StreamSpec(25, 0))
+        spread = place_nodes(60, 1.0, stream)
+        links = [(k, k + 30) for k in range(30)]
+        got = check_protocol_model(spread, links, 1e9)
+        _same_violations(got, _reference_check_protocol_model(spread, links, 1e9))
+        assert len(got) == 30 * 29
+
+        # Nodes at one position: own links of length 0 never fail, and a
+        # receiver on top of another transmitter always does.
+        pos = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.5], [0.5, 0.5], [0.75, 0.75]])
+        stacked = Topology(area_side=1.0, positions=pos)
+        for links in [[(0, 1), (2, 3)], [(0, 1)], [(0, 1), (1, 0)], [(2, 3), (4, 0), (1, 2)]]:
+            for gamma in [0.0, GUARD_ZONE_LIMIT, 3.0]:
+                got = check_protocol_model(stacked, links, gamma)
+                _same_violations(got, _reference_check_protocol_model(stacked, links, gamma))
+        assert check_protocol_model(stacked, [(0, 1), (1, 0)], 3.0) == []
+        assert len(check_protocol_model(stacked, [(2, 3), (0, 4)], 0.0)) == 1
+
     def test_empty_link_list(self):
         topo, _ = _topology(seed=13)
         assert check_protocol_model(topo, [], 3.0) == []
@@ -454,6 +513,42 @@ class TestProtocolModel:
             got = same_cell_transmissions(topo, group)
             assert got == _reference_same_cell_transmissions(topo, group)
             assert all(type(node) is int for link in got for node in link)
+
+    def test_same_cell_transmissions_follow_replaced_cells_and_positions(self):
+        # The farthest-pair table is kept on the topology; re-celled copies,
+        # replaced arrays and hand-built topologies must not see a stale one.
+        topo, stream = _topology(n=400, m=4, seed=26)
+        coarse = build_cells(400, 16, 1.0)
+        everything = list(range(coarse.num_cells))
+        cell_lists = list(tdma_groups(coarse).groups)
+        cell_lists += [everything + everything[:5], [3, 3, coarse.num_cells + 7, 0], []]
+
+        def check(t, lists):
+            for cells in lists:
+                got = same_cell_transmissions(t, cells)
+                assert got == _reference_same_cell_transmissions(t, cells)
+                assert all(type(node) is int for link in got for node in link)
+
+        fine_lists = list(tdma_groups(topo.grid).groups)
+        check(topo, fine_lists)
+        recelled = topo.with_cells(coarse)
+        check(recelled, cell_lists)
+        check(topo, fine_lists)  # the original keeps its own table
+
+        moved = recelled.positions[::-1].copy()
+        recelled.positions = moved
+        check(recelled, cell_lists)
+        recelled.cell_of = cell_index(coarse, moved)
+        check(recelled, cell_lists)
+
+        # Built directly, as _labelled builds one, but with distinct positions.
+        pattern = (5, 1, 0, 3, 2, 7)
+        labelled = Topology(
+            area_side=1.0,
+            positions=stream.random((sum(pattern), 2)),
+            cell_of=np.repeat(np.arange(len(pattern)), pattern),
+        )
+        check(labelled, [range(len(pattern)), [5, 5, 0, 1, 2, 9], [4, 3], []])
 
     def test_rejects_negative_gamma(self):
         topo, transmissions = corner_case_witness()
