@@ -10,10 +10,12 @@ d(receiver, interferer) >= (1 + gamma) * d(receiver, transmitter).
 Source-destination pairs avoid sharing a cell.  Whether such a pairing
 exists is decided exactly (Hall's condition), and one is drawn uniformly
 by a lazy Markov-chain walk over admissible permutations, so pairing
-never gives up on a feasible topology.  The protocol check compares
-only links in neighbouring buckets of a grid as wide as the largest
-guard zone, in fixed-size numpy blocks, so its memory stays linear in
-the number of links.
+never gives up on a feasible topology.  The walk moves the cell of each
+node's destination, not the destination node, and a last shuffle picks
+the node within each cell; this is exact, because admissibility depends
+on cells only.  The protocol check compares only links in neighbouring
+buckets of a grid as wide as the largest guard zone, in fixed-size numpy
+blocks, so its memory stays linear in the number of links.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-TDMA_GROUPS = 9
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
 _PAIR_BLOCK = 4096  # node pairs per block of the protocol and farthest-pair checks
 # Protocol-check buckets: the side exceeds the largest threshold by this
@@ -126,25 +127,42 @@ def assign_pairs(
     exists iff no label class holds more than n/2 nodes, so anything
     else raises ``RuntimeError`` naming the largest class.
 
-    The walk starts from the nodes sorted by label and shifted by the
-    largest class size, which is admissible.  Each sweep draws one
-    shuffle, ``stream.permutation(n)``, and runs two steps on it: first
-    the shuffle split into disjoint pairs proposes to swap destinations,
-    then the same shuffle split into disjoint triples proposes to rotate
-    them.  A proposal that stays admissible is applied with probability
-    1/2 (one ``stream.random`` draw each).  Swaps alone leave some small
+    The walk moves destination labels, not destination nodes: its state
+    is the label of each node's destination.  It starts from the nodes
+    sorted by label and shifted by the largest class size, which is
+    admissible.  Each sweep draws one shuffle, ``stream.permutation(n)``,
+    and the coins of both its steps, ``stream.integers(0, 2,
+    n // 2 + n // 3, dtype=bool)``.  First the shuffle cut into disjoint
+    pairs proposes to swap destinations, then the same shuffle cut into
+    disjoint triples proposes to rotate them; group k of size s is
+    ``shuffle[k + j * (n // s)]`` for j < s.  A proposal that stays
+    admissible is applied if its coin is 1.  Swaps alone leave some small
     occupancy patterns disconnected, and the 3-cycles join them.  A fixed
     ``3*ceil(log2 n) + 32`` sweeps run, in the spirit of the
-    random-transposition shuffle (Diaconis and Shahshahani, 1981).
+    random-transposition shuffle (Diaconis and Shahshahani, 1981).  A
+    last shuffle matches each class's senders to its members in uniform
+    random order.
 
-    The uniform law on admissible permutations is stationary because the
-    swaps come first.  For a fixed shuffle the swap step is symmetric, so
-    its columns sum to 1, and the sweep's column sums are those of the
-    3-cycle step alone.  Averaged over the uniform shuffle, which lists
-    each triple in either orientation equally often, the 3-cycle step is
-    symmetric, so those sums are 1.  Run the other way round, the 3-cycle
-    step's column sums would be weighted by a swap step drawn from the
-    same shuffle, and the average need not be 1.
+    The same walk on destination nodes, with the same draws, sends every
+    node's destination into the same label at every step, because whether
+    a move is admissible depends on labels only.  So after any number of
+    sweeps the label arrangement has the law of the node walk's
+    projection.  Every admissible arrangement is the projection of exactly
+    ``prod_c k_c!`` admissible permutations, k_c being the size of class
+    c, so a uniform arrangement, with each class's senders matched to its
+    members uniformly, is a uniform admissible permutation.  A uniform
+    matching within classes can only bring a law closer to uniform: the
+    result is at least as close to uniform as the node walk's after the
+    same sweeps.
+
+    The uniform law on admissible permutations is stationary for the node
+    walk because the swaps come first.  For a fixed shuffle the swap step
+    is symmetric, so its columns sum to 1, and the sweep's column sums
+    are those of the 3-cycle step alone.  Averaged over the uniform
+    shuffle, which lists each triple in either orientation equally often,
+    the 3-cycle step is symmetric, so those sums are 1.  Run the other way
+    round, the 3-cycle step's column sums would be weighted by a swap
+    step drawn from the same shuffle, and the average need not be 1.
 
     Returns the pairing and the number of proposals not applied, because
     they were inadmissible or lost the coin.
@@ -153,7 +171,7 @@ def assign_pairs(
         raise ValueError("forbid_same_cell requires a topology with assigned cells")
     n = topology.n
     label = np.asarray(topology.cell_of) if forbid_same_cell else np.arange(n)
-    values, counts = np.unique(label, return_counts=True)
+    values, inverse, counts = np.unique(label, return_inverse=True, return_counts=True)
     largest = int(counts.max(initial=0))
     if 2 * largest > n:
         kind = "cell" if forbid_same_cell else "node"
@@ -161,9 +179,10 @@ def assign_pairs(
             f"no admissible pairing exists: {kind} {values[counts.argmax()]} holds "
             f"{largest} of {n} nodes, more than n/2 (Hall's condition)"
         )
-    order = np.argsort(label, kind="stable")
-    perm = np.empty(n, dtype=np.int64)
-    perm[order] = np.roll(order, -largest)
+    lab = inverse.astype(np.int32)  # dense class index of each node
+    order = np.argsort(lab, kind="stable")
+    dest_lab = np.empty(n, dtype=np.int32)
+    dest_lab[order] = lab[np.roll(order, -largest)]
 
     # Row i of a group takes the destination of row i + 1, cyclically.
     moves = [(size, (np.arange(size) + 1) % size) for size in (2, 3)]
@@ -171,15 +190,26 @@ def assign_pairs(
     sweeps = 3 * max(n - 1, 0).bit_length() + 32  # 3*ceil(log2 n) + 32
     for _ in range(sweeps):
         shuffle = stream.permutation(n)
+        coins = stream.integers(0, 2, n // 2 + n // 3, dtype=bool)
+        src, dst = lab[shuffle], dest_lab[shuffle]
         for size, rotate in moves:  # swaps, then 3-cycles: see the docstring
             groups = n // size
-            nodes = shuffle[: groups * size].reshape(groups, size).T
-            dest = perm[nodes]
+            end = groups * size
+            # Group k is shuffle[k], shuffle[k + groups], ...: one row each.
+            dest = dst[:end].reshape(size, groups)
             moved = dest[rotate]
-            admissible = np.logical_and.reduce(label[moved] != label[nodes])
-            ok = admissible & (stream.random(groups) < 0.5)
-            perm[nodes] = np.where(ok, moved, dest)
+            admissible = np.logical_and.reduce(moved != src[:end].reshape(size, groups))
+            ok, coins = admissible & coins[:groups], coins[groups:]
+            # A branch-free np.where: on fresh random masks np.where's branches
+            # mispredict, and it takes two to three times as long.
+            dest += (moved - dest) * ok
             rejected += groups - int(np.count_nonzero(ok))
+        dest_lab[shuffle] = dst
+
+    # Each class's senders take its members in a uniformly random order.
+    shuffle = stream.permutation(n)
+    perm = np.empty(n, dtype=np.int64)
+    perm[shuffle[np.argsort(dest_lab[shuffle], kind="stable")]] = order
     return perm, rejected
 
 
@@ -193,13 +223,15 @@ class TdmaGroups:
 def tdma_groups(grid: CellGrid) -> TdmaGroups:
     """Partition cells into 9 groups; within a group, active cells are at
     least three grid steps apart along each axis, leaving two inactive
-    cells between any two active ones."""
+    cells between any two active ones.  Group (row mod 3) * 3 + (col mod 3)
+    lists its cells in ascending id."""
     per_side = grid.cells_per_side
-    buckets: list[list[int]] = [[] for _ in range(TDMA_GROUPS)]
-    for row in range(per_side):
-        for col in range(per_side):
-            buckets[(row % 3) * 3 + (col % 3)].append(row * per_side + col)
-    return TdmaGroups(groups=tuple(tuple(b) for b in buckets))
+    ids = np.arange(grid.num_cells).reshape(per_side, per_side)
+    return TdmaGroups(
+        groups=tuple(
+            tuple(ids[row::3, col::3].ravel().tolist()) for row in range(3) for col in range(3)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -424,28 +456,6 @@ def write_topology_csv(topology: Topology, path) -> None:
                     "" if pairing is None else int(pairing[i]),
                 ]
             )
-
-
-def read_topology_csv(path, area_side: float, grid: CellGrid | None = None) -> Topology:
-    node_ids, xs, ys, cells, dests = [], [], [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            node_ids.append(int(row["node_id"]))
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-            cells.append(int(row["cell_id"]) if row["cell_id"] else -1)
-            dests.append(int(row["dest_id"]) if row["dest_id"] else -1)
-    order = np.argsort(node_ids)
-    positions = np.column_stack([np.array(xs)[order], np.array(ys)[order]])
-    cell_arr = np.array(cells)[order]
-    dest_arr = np.array(dests)[order]
-    return Topology(
-        area_side=area_side,
-        positions=positions,
-        grid=grid,
-        cell_of=None if np.all(cell_arr < 0) else cell_arr,
-        pairing=None if np.all(dest_arr < 0) else dest_arr,
-    )
 
 
 def write_violations_csv(violations: list[Violation], gamma: float, path) -> None:

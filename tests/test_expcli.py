@@ -29,7 +29,7 @@ from aoilab.expcli import (
     read_rows_csv,
     run_sweep,
 )
-from aoilab.geometry import build_cells, read_topology_csv
+from aoilab.geometry import build_cells
 from aoilab.sampling import BLOCK_TICKS, row_ticks, stream_window
 from aoilab.scheme import _ROUND_ROBIN_WIDTH, _exact_width, _worsened_width
 
@@ -366,7 +366,7 @@ class TestCli:
         assert (tmp_path / "topo" / "topology.csv").exists()
         assert (tmp_path / "topo" / "violations.csv").exists()
 
-    def test_topology_at_quarter_exponent_scale(self, tmp_path, capsys):
+    def test_topology_at_quarter_exponent_scale(self, tmp_path, capsys, read_topology_csv):
         # b = 1/4 with m = 16 at n = 2^16: the pairing exists (16 <= n/2) and
         # the 9-TDMA pattern is admissible at the default guard zone.
         out_dir = tmp_path / "topo"

@@ -19,7 +19,6 @@ from aoilab.geometry import (
     check_protocol_model,
     corner_case_witness,
     place_nodes,
-    read_topology_csv,
     same_cell_transmissions,
     tdma_groups,
     write_topology_csv,
@@ -112,6 +111,44 @@ def _reference_same_cell_transmissions(topology, cells):
         i, j = np.unravel_index(np.argmax(dist), dist.shape)
         out.append((int(members[i]), int(members[j])))
     return out
+
+
+def _reference_assign_pairs(topology, stream, forbid_same_cell=True):
+    """The node-level walk whose label projection assign_pairs runs.
+
+    Same start, moves and draws per sweep; it stops before the final
+    shuffle that matches each cell's senders to its members.
+    """
+    n = topology.n
+    label = np.asarray(topology.cell_of) if forbid_same_cell else np.arange(n)
+    largest = int(np.unique(label, return_counts=True)[1].max())
+    order = np.argsort(label, kind="stable")
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = np.roll(order, -largest)
+    moves = [(size, (np.arange(size) + 1) % size) for size in (2, 3)]
+    rejected = 0
+    for _ in range(3 * max(n - 1, 0).bit_length() + 32):
+        shuffle = stream.permutation(n)
+        coins = stream.integers(0, 2, n // 2 + n // 3, dtype=bool)
+        for size, rotate in moves:
+            groups = n // size
+            nodes = shuffle[: groups * size].reshape(size, groups)
+            dest = perm[nodes]
+            moved = dest[rotate]
+            admissible = np.logical_and.reduce(label[moved] != label[nodes])
+            ok, coins = admissible & coins[:groups], coins[groups:]
+            perm[nodes] = np.where(ok, moved, dest)
+            rejected += groups - int(np.count_nonzero(ok))
+    return perm, rejected
+
+
+def _reference_tdma_groups(grid):
+    per_side = grid.cells_per_side
+    buckets = [[] for _ in range(9)]
+    for row in range(per_side):
+        for col in range(per_side):
+            buckets[(row % 3) * 3 + (col % 3)].append(row * per_side + col)
+    return tuple(tuple(b) for b in buckets)
 
 
 def _same_violations(got, want):
@@ -266,18 +303,48 @@ class TestAssignPairs:
                 self.calls.append("permutation")
                 return self.gen.permutation(n)
 
-            def random(self, size):
-                self.calls.append("random")
-                return self.gen.random(size)
+            def integers(self, low, high, size, dtype):
+                self.calls.append("integers")
+                return self.gen.integers(low, high, size, dtype=dtype)
 
         topo, stream = _topology(seed=23)
         recorder = Recorder(stream)
         pairing, rejected = assign_pairs(topo, recorder)
         _assert_admissible(pairing, topo.cell_of)
         sweeps = 3 * math.ceil(math.log2(topo.n)) + 32
-        # One shuffle per sweep, shared by the swap and the 3-cycle step.
-        assert recorder.calls == ["permutation", "random", "random"] * sweeps
+        # Per sweep one shuffle and one draw of both steps' coins; then one
+        # shuffle matches each cell's senders to its members.
+        assert recorder.calls == ["permutation", "integers"] * sweeps + ["permutation"]
         assert 0 < rejected < sweeps * (topo.n // 2 + topo.n // 3)
+
+    @pytest.mark.parametrize(
+        "make, forbid_same_cell",
+        [
+            (lambda: _topology(100, 4, seed=25)[0], True),
+            (lambda: _topology(256, 16, seed=25)[0], True),
+            (lambda: _topology(1024, 16, seed=25)[0], True),
+            (lambda: _labelled((4, 1, 1, 2)), True),
+            (lambda: Topology(area_side=1.0, positions=np.zeros((5, 2))), False),
+            (lambda: Topology(area_side=1.0, positions=np.zeros((1000, 2))), False),
+        ],
+        ids=["100-4", "256-16", "1024-16", "hall-tight", "derangement-5", "derangement-1000"],
+    )
+    def test_label_walk_is_exact_projection_of_node_walk(self, make, forbid_same_cell):
+        # Seeded alike, the node-level walk and assign_pairs send every node
+        # to the same cell (to the same node, for derangements) and reject
+        # the same proposals.
+        topo = make()
+        label = topo.cell_of if forbid_same_cell else np.arange(topo.n)
+        for index in range(3):
+            pairing, rejected = assign_pairs(
+                topo, make_stream(StreamSpec(26, index)), forbid_same_cell
+            )
+            reference, reference_rejected = _reference_assign_pairs(
+                topo, make_stream(StreamSpec(26, index)), forbid_same_cell
+            )
+            _assert_admissible(pairing, label)
+            assert np.array_equal(label[pairing], label[reference])
+            assert rejected == reference_rejected
 
     @pytest.mark.parametrize(
         "pattern",
@@ -313,6 +380,13 @@ class TestTdmaGroups:
         assert sizes == [1, 2, 2, 2, 2, 4, 4, 4, 4]
         all_cells = sorted(c for g in groups.groups for c in g)
         assert all_cells == list(range(25))
+
+    @pytest.mark.parametrize("per_side", [*range(1, 11), 50])
+    def test_matches_loop_reference(self, per_side):
+        grid = CellGrid(area_side=1.0, cells_per_side=per_side)
+        got = tdma_groups(grid).groups
+        assert got == _reference_tdma_groups(grid)
+        assert all(type(cell) is int for group in got for cell in group)
 
     def test_nine_cells_gives_singletons(self):
         groups = tdma_groups(build_cells(36, 4, 1.0))  # 3x3 grid
@@ -557,7 +631,7 @@ class TestProtocolModel:
 
 
 class TestTopologyCsv:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, read_topology_csv):
         topo, stream = _topology(seed=10)
         pairing, _ = assign_pairs(topo, stream)
         topo.pairing = pairing
