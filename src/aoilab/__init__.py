@@ -23,9 +23,6 @@ from .params import SchemeParams
 from .sampling import (
     StreamSpec,
     make_stream,
-    sample_exp,
-    sample_max_exp,
-    sample_min_exp,
     session_stream,
 )
 from .scheme import (
@@ -39,8 +36,6 @@ from .scheme import (
     integrate_age_timeline,
     merge_summaries,
     sample_coupled_sessions,
-    sample_session_exact,
-    sample_session_worsened,
     simulate_round_robin,
     simulate_sessions,
 )
@@ -68,11 +63,6 @@ __all__ = [
     "order_stat_moments",
     "phase_moments",
     "sample_coupled_sessions",
-    "sample_exp",
-    "sample_max_exp",
-    "sample_min_exp",
-    "sample_session_exact",
-    "sample_session_worsened",
     "scaling_exponent",
     "session_stream",
     "simulate_round_robin",

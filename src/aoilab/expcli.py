@@ -68,12 +68,16 @@ SWEEP_CSV_COLUMNS = (
 _POINT_STRIDE = 1 << 32
 _BASELINE_OFFSET = 1 << 31
 
+# Log distances within this of the nearest count as ties in
+# divisor_adjusted_m.
+_DIVISOR_TIE_TOL = 1e-12
+
 
 class CliUsageError(Exception):
     pass
 
 
-def divisor_adjusted_m(n: int, target: float, tol: float = 1e-12) -> int | None:
+def divisor_adjusted_m(n: int, target: float) -> int | None:
     """Divisor of n nearest to ``target`` in ratio, within +-50 percent.
 
     Nearness is measured in log space (so 8 beats 4 for target 6); exact
@@ -96,7 +100,7 @@ def divisor_adjusted_m(n: int, target: float, tol: float = 1e-12) -> int | None:
     log_t = math.log(target)
     dist = {d: abs(math.log(d) - log_t) for d in set(candidates)}
     best = min(dist.values())
-    return min(d for d in dist if dist[d] <= best + tol)
+    return min(d for d in dist if dist[d] <= best + _DIVISOR_TIE_TOL)
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,11 @@ class SweepConfig:
             raise ValueError("n_grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {grid}")
+        if grid[0] < 2:
+            raise ValueError(
+                f"n_grid values must be >= 2 (a node is never its own "
+                f"destination), got {grid[0]}"
+            )
         if not 0.0 < self.b <= 1.0:
             raise ValueError(f"b must lie in (0, 1], got {self.b}")
         if self.sessions < 1000:
@@ -195,6 +204,10 @@ class SweepRow:
     wall_time_s: float | None = None
 
 
+# SweepRow field of each sweep CSV column; the only rename is M -> m.
+_CSV_FIELDS = {column: "m" if column == "M" else column for column in SWEEP_CSV_COLUMNS}
+
+
 def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> list[SweepRow]:
     """One SweepRow per grid point, deterministic given the master seed.
 
@@ -269,7 +282,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> lis
             SweepRow(
                 n=n,
                 m=m,
-                b_effective=math.log(m) / math.log(n) if n > 1 else 1.0,
+                b_effective=math.log(m) / math.log(n),
                 sessions=config.sessions,
                 delta_analytic=analytic,
                 delta_sim=estimate.delta_hat,
@@ -286,9 +299,9 @@ def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> lis
 class SlopeFit:
     """Least-squares power-law fit on (log n, log value).
 
-    ``exponent`` is the primary slope (with the log n factor divided out
-    first when the fit was log-corrected); ``log_corrected_exponent``
-    always reports the corrected slope.
+    ``exponent`` is the plain slope; ``log_corrected_exponent`` the slope
+    after dividing out the log n factor (``exponent``'s intercept and
+    ``r_squared`` belong to the plain fit).
     """
 
     column: str
@@ -297,10 +310,9 @@ class SlopeFit:
     r_squared: float
     fit_range: tuple[int, int]
     log_corrected_exponent: float
-    log_corrected: bool
 
 
-def fit_slope(rows: Sequence[SweepRow], column: str, log_correction: bool = False) -> SlopeFit:
+def fit_slope(rows: Sequence[SweepRow], column: str) -> SlopeFit:
     points = [(row.n, getattr(row, column)) for row in rows if getattr(row, column) is not None]
     if len(points) < 3:
         raise ValueError(f"need at least 3 rows with column {column!r}, got {len(points)}")
@@ -308,8 +320,8 @@ def fit_slope(rows: Sequence[SweepRow], column: str, log_correction: bool = Fals
     values = np.array([p[1] for p in points], dtype=float)
     if np.any(values <= 0):
         raise ValueError(f"column {column!r} has non-positive values; cannot fit log-log slope")
-    if log_correction and np.any(ns < 2):
-        raise ValueError("log correction needs n >= 2")
+    if np.any(ns < 2):
+        raise ValueError(f"the log-corrected fit needs n >= 2, got n = {int(ns.min())}")
 
     def _least_squares(y: np.ndarray) -> tuple[float, float, float]:
         x = np.log(ns)
@@ -322,11 +334,8 @@ def fit_slope(rows: Sequence[SweepRow], column: str, log_correction: bool = Fals
         return float(slope), float(intercept), r_sq
 
     log_v = np.log(values)
-    corrected_slope, corrected_icept, corrected_r2 = _least_squares(log_v - np.log(np.log(ns)))
-    if log_correction:
-        slope, intercept, r_squared = corrected_slope, corrected_icept, corrected_r2
-    else:
-        slope, intercept, r_squared = _least_squares(log_v)
+    corrected_slope = _least_squares(log_v - np.log(np.log(ns)))[0]
+    slope, intercept, r_squared = _least_squares(log_v)
     return SlopeFit(
         column=column,
         exponent=slope,
@@ -334,7 +343,6 @@ def fit_slope(rows: Sequence[SweepRow], column: str, log_correction: bool = Fals
         r_squared=r_squared,
         fit_range=(int(ns.min()), int(ns.max())),
         log_corrected_exponent=corrected_slope,
-        log_corrected=log_correction,
     )
 
 
@@ -346,15 +354,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _parse_cell(field: str, text: str):
+    """A sweep CSV cell as the value of its SweepRow ``field``."""
+    if field in ("n", "sessions"):
+        return int(text)
+    if not text:
+        return None
+    return int(text) if field == "m" else float(text)
+
+
 def write_rows_csv(rows: Sequence[SweepRow], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
         for row in rows:
-            cells = (
-                row.n, row.m, row.b_effective, row.sessions, row.delta_analytic,
-                row.delta_sim, row.delta_sim_stderr, row.delta_timeline,
-                row.delta_baseline, row.wall_time_s,
-            )
+            cells = (getattr(row, field) for field in _CSV_FIELDS.values())
             fh.write(",".join(_format_cell(c) for c in cells) + "\n")
 
 
@@ -365,24 +378,16 @@ def read_rows_csv(path) -> list[SweepRow]:
         if tuple(reader.fieldnames or ()) != SWEEP_CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected sweep CSV header {reader.fieldnames}")
         for record in reader:
-            rows.append(
-                SweepRow(
-                    n=int(record["n"]),
-                    m=int(record["M"]) if record["M"] else None,
-                    b_effective=float(record["b_effective"]) if record["b_effective"] else None,
-                    sessions=int(record["sessions"]),
-                    delta_analytic=float(record["delta_analytic"]) if record["delta_analytic"] else None,
-                    delta_sim=float(record["delta_sim"]) if record["delta_sim"] else None,
-                    delta_sim_stderr=float(record["delta_sim_stderr"]) if record["delta_sim_stderr"] else None,
-                    delta_timeline=float(record["delta_timeline"]) if record["delta_timeline"] else None,
-                    delta_baseline=float(record["delta_baseline"]) if record["delta_baseline"] else None,
-                    wall_time_s=float(record["wall_time_s"]) if record["wall_time_s"] else None,
-                )
-            )
+            rows.append(SweepRow(**{
+                field: _parse_cell(field, record[column])
+                for column, field in _CSV_FIELDS.items()
+            }))
     return rows
 
 
-def emit_report(rows: Sequence[SweepRow], fits: Sequence[SlopeFit], out_dir, b: float | None = None) -> list[Path]:
+def emit_report(
+    rows: Sequence[SweepRow], fits: Sequence[SlopeFit], out_dir, b: float
+) -> list[Path]:
     """Write sweep.csv and summary.txt under ``out_dir``; returns the paths."""
     if not rows:
         raise ValueError("emit_report needs at least one row")
@@ -402,11 +407,10 @@ def emit_report(rows: Sequence[SweepRow], fits: Sequence[SlopeFit], out_dir, b: 
                 f"r_squared={fit.r_squared:.6f} "
                 f"range=[{fit.fit_range[0]}, {fit.fit_range[1]}]"
             )
-        if b is not None:
-            lines.append(
-                f"predicted growth exponent for b={b!r}: max(b, 1-3b) = "
-                f"{scaling_exponent(b):.6f}"
-            )
+        lines.append(
+            f"predicted growth exponent for b={b!r}: max(b, 1-3b) = "
+            f"{scaling_exponent(b):.6f}"
+        )
         summary_path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report under {out}: {exc}") from exc
@@ -515,7 +519,7 @@ def _cmd_sweep(args) -> int:
     fits = []
     for column in ("delta_analytic", "delta_sim", "delta_baseline"):
         if sum(getattr(r, column) is not None for r in rows) >= 3:
-            fits.append(fit_slope(rows, column, log_correction=False))
+            fits.append(fit_slope(rows, column))
     paths = emit_report(rows, fits, args.out, b=config.b)
     for path in paths:
         print(path)

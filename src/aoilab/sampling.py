@@ -224,36 +224,3 @@ def gamma_from_uniform(u, shape: int):
         out += c[i]
     return _result(out, u)
 
-
-def min_exp_from_uniform(u, count: int, rate: float):
-    """Min of ``count`` i.i.d. exponentials: exponential at rate count*rate."""
-    return exp_from_uniform(u, count * rate)
-
-
-def _validate(count: int, rate: float) -> None:
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-
-
-def sample_exp(stream: np.random.Generator, rate: float, size=None):
-    """One exponential variate (or ``size`` of them) at the given rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    u = stream.random() if size is None else stream.random(size)
-    return exp_from_uniform(u, rate)
-
-
-def sample_max_exp(stream: np.random.Generator, count: int, rate: float, size=None):
-    """One draw of the maximum of ``count`` i.i.d. exponentials."""
-    _validate(count, rate)
-    u = stream.random() if size is None else stream.random(size)
-    return max_exp_from_uniform(u, count, rate)
-
-
-def sample_min_exp(stream: np.random.Generator, count: int, rate: float, size=None):
-    """One draw of the minimum of ``count`` i.i.d. exponentials."""
-    _validate(count, rate)
-    u = stream.random() if size is None else stream.random(size)
-    return min_exp_from_uniform(u, count, rate)

@@ -70,27 +70,19 @@ class SessionSample:
     z: float
     d: float
     y: float
-    variant: Variant
 
 
 _COLUMNS = ("y1", "y2", "y3", "z", "d", "y")
 
 
-def _session_sample(cols: dict, variant: Variant) -> SessionSample:
-    """The single session of one-row kernel output ``cols``."""
-    return SessionSample(**{name: float(cols[name][0]) for name in _COLUMNS}, variant=variant)
-
-
 @dataclass(frozen=True)
 class MomentSummary:
-    """Streaming first/second moment accumulators of (Y, D)."""
+    """Streaming sums of Y, Y^2 and D: all the moment estimator reads."""
 
     count: int = 0
     sum_y: float = 0.0
     sum_y_sq: float = 0.0
     sum_d: float = 0.0
-    sum_d_sq: float = 0.0
-    sum_dy: float = 0.0
 
     @classmethod
     def from_arrays(cls, y: np.ndarray, d: np.ndarray) -> "MomentSummary":
@@ -99,8 +91,6 @@ class MomentSummary:
             sum_y=float(np.sum(y)),
             sum_y_sq=float(np.sum(y * y)),
             sum_d=float(np.sum(d)),
-            sum_d_sq=float(np.sum(d * d)),
-            sum_dy=float(np.sum(d * y)),
         )
 
     def merge(self, other: "MomentSummary") -> "MomentSummary":
@@ -109,8 +99,6 @@ class MomentSummary:
             sum_y=self.sum_y + other.sum_y,
             sum_y_sq=self.sum_y_sq + other.sum_y_sq,
             sum_d=self.sum_d + other.sum_d,
-            sum_d_sq=self.sum_d_sq + other.sum_d_sq,
-            sum_dy=self.sum_dy + other.sum_dy,
         )
 
 
@@ -175,8 +163,8 @@ class SimulationRun:
 
 # ---------------------------------------------------------------------------
 # Draw layouts and vectorized kernels.  Each session consumes a fixed-width
-# row of uniforms; scalar ops and the batch engine share these kernels, so a
-# scalar sampler given a session's stream reproduces its batch row exactly.
+# row of uniforms, so a kernel given the first ``width`` draws of a
+# session's stream as a one-row input reproduces its batch row exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -342,35 +330,8 @@ def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scalar session samplers (the batch engine replays the same kernels).
+# Pathwise-coupled pair sampler.
 # ---------------------------------------------------------------------------
-
-
-def sample_session_worsened(
-    params: SchemeParams,
-    stream: np.random.Generator,
-    mode: DeliveryMode = DeliveryMode.INDEPENDENT,
-) -> SessionSample:
-    """Draw one worsened session.
-
-    Phase one sums m rounds of max-of-n draws, phase two sums n/m per-cell
-    maxima of m rate-(m^2 lambda_inter) draws (see :func:`_phase_two`),
-    phase three sums m rounds of max-of-(n/m) draws.
-    """
-    u = stream.random(_worsened_width(params))[None, :]
-    return _session_sample(_worsened_kernel(u, params, mode), Variant.WORSENED)
-
-
-def sample_session_exact(
-    params: SchemeParams, stream: np.random.Generator
-) -> SessionSample:
-    """Draw one exact session (cells independent in phases one and three).
-
-    At m = 1 a cell has no other receivers, so its phase-one time is zero.
-    Delivery reuses the tagged cell's own relay draws, hence d <= y always.
-    """
-    u = stream.random(_exact_width(params))[None, :]
-    return _session_sample(_exact_kernel(u, params), Variant.EXACT)
 
 
 def sample_coupled_sessions(
@@ -419,7 +380,6 @@ def sample_coupled_sessions(
         z=exact_z,
         d=exact_y1 + y2 + exact_z,
         y=exact_y1 + y2 + exact_y3,
-        variant=Variant.EXACT,
     )
     worsened = SessionSample(
         y1=worsened_y1,
@@ -428,7 +388,6 @@ def sample_coupled_sessions(
         z=worsened_z,
         d=worsened_y1 + y2 + worsened_z,
         y=worsened_y1 + y2 + worsened_y3,
-        variant=Variant.WORSENED,
     )
     return exact, worsened
 
@@ -578,20 +537,17 @@ def simulate_round_robin(
 # ---------------------------------------------------------------------------
 
 
-def estimate_age_moment_formula(
-    summaries: MomentSummary | Sequence[MomentSummary],
-) -> AgeEstimate:
+def estimate_age_moment_formula(summaries: Sequence[MomentSummary]) -> AgeEstimate:
     """Renewal-reward age estimate: mean(D) + mean(Y^2) / (2 mean(Y)).
 
-    ``summaries`` is one MomentSummary or a sequence of per-batch
-    summaries; with two or more batches the standard error comes from the
-    spread of per-batch estimates (batch means), otherwise it is NaN.
+    ``summaries`` are per-batch summaries; with two or more batches the
+    standard error comes from the spread of per-batch estimates (batch
+    means), otherwise it is NaN.
     Batch means weigh every batch alike, so they need batches of equal
     size; a :class:`SimulationRun`'s ``batch_summaries`` differ by at most
     one session.
     """
-    batches = [summaries] if isinstance(summaries, MomentSummary) else list(summaries)
-    batches = [s for s in batches if s.count > 0]
+    batches = [s for s in summaries if s.count > 0]
     total = merge_summaries(batches)
     if total.count < 2:
         raise ValueError(f"need at least 2 sessions, got {total.count}")
@@ -611,10 +567,9 @@ def estimate_age_moment_formula(
     )
 
 
-def integrate_age_timeline(
-    sessions: SimulationRun | Sequence[SessionSample],
-) -> AgeEstimate:
-    """Direct area integration of the sawtooth age process.
+def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
+    """Direct area integration of the sawtooth age process of ``run``'s
+    sessions, read from its ``y`` and ``d`` columns.
 
     Sessions are laid end to end; update j is generated when session j
     starts and delivered d_j later, dropping the age to d_j.  The exact
@@ -625,11 +580,7 @@ def integrate_age_timeline(
     deliveries, in the batches of :func:`_batch_bounds` (NaN for fewer
     than 64 segments, which make one batch).
     """
-    if isinstance(sessions, SimulationRun):
-        y, d = sessions.y, sessions.d
-    else:
-        y = np.array([s.y for s in sessions])
-        d = np.array([s.d for s in sessions])
+    y, d = run.y, run.d
     if y.size < 2:
         raise ValueError(f"need at least 2 sessions, got {y.size}")
     if np.any(d > y):

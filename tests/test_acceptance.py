@@ -153,8 +153,8 @@ def test_criterion_5_scaling_law():
             )
         )
 
-    corrected = fit_slope(rows, "delta_analytic", log_correction=True).exponent
-    uncorrected = fit_slope(rows, "delta_analytic", log_correction=False).exponent
+    fit = fit_slope(rows, "delta_analytic")
+    corrected, uncorrected = fit.log_corrected_exponent, fit.exponent
     assert 0.24 <= corrected <= 0.30, corrected
     assert 0.25 <= uncorrected <= 0.40, uncorrected
 
@@ -199,7 +199,7 @@ def test_criterion_6_exponent_regime():
                     delta_sim=None, delta_sim_stderr=None,
                 )
             )
-        fitted[b] = fit_slope(rows, "delta_analytic", log_correction=True).exponent
+        fitted[b] = fit_slope(rows, "delta_analytic").log_corrected_exponent
     by_fit = sorted(fitted, key=fitted.get)
     by_prediction = sorted(fitted, key=scaling_exponent)
     assert by_fit == by_prediction, (by_fit, by_prediction)

@@ -4,6 +4,7 @@ import json
 import logging
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,6 +72,13 @@ class TestSweepConfig:
     def test_b_range(self):
         with pytest.raises(ValueError):
             SweepConfig(n_grid=(64,), b=0.0)
+
+    @pytest.mark.parametrize("grid", [(1, 2, 4, 8), (0, 64), (-4,)])
+    def test_grid_values_below_two_rejected(self, grid):
+        # A node is never its own destination, so the model needs n >= 2.
+        with pytest.raises(ValueError, match=rf"n_grid values must be >= 2 .* got {grid[0]}$"):
+            SweepConfig(n_grid=grid)
+        SweepConfig(n_grid=(2, 4, 8))
 
     def test_json_config_file(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -222,16 +230,23 @@ class TestFitSlope:
     def test_log_correction_removes_log_factor(self):
         ns = np.array([2**k for k in range(4, 20)], dtype=float)
         rows = self._rows(ns, 0.8 * ns**0.25 * np.log(ns))
-        fit = fit_slope(rows, "delta_analytic", log_correction=True)
-        assert fit.exponent == pytest.approx(0.25, abs=1e-6)
-        assert fit.log_corrected_exponent == fit.exponent
+        fit = fit_slope(rows, "delta_analytic")
+        assert fit.log_corrected_exponent == pytest.approx(0.25, abs=1e-6)
 
     def test_uncorrected_fit_still_reports_corrected_exponent(self):
         ns = np.array([2**k for k in range(4, 20)], dtype=float)
         rows = self._rows(ns, 0.8 * ns**0.25 * np.log(ns))
-        fit = fit_slope(rows, "delta_analytic", log_correction=False)
+        fit = fit_slope(rows, "delta_analytic")
         assert fit.log_corrected_exponent == pytest.approx(0.25, abs=1e-6)
         assert fit.exponent > fit.log_corrected_exponent
+
+    def test_rejects_n_below_two_without_warnings(self):
+        # log(log 1) is -inf: the fit must refuse n = 1, not report nan.
+        rows = self._rows([1, 2, 4, 8], [1.0, 2.0, 3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs n >= 2, got n = 1"):
+                fit_slope(rows, "delta_analytic")
 
     def test_rejects_non_positive_and_short_input(self):
         rows = self._rows([16, 32, 64], [1.0, -2.0, 3.0])
@@ -255,11 +270,29 @@ class TestEmitReport:
 
     def test_csv_round_trip(self, tmp_path):
         rows = self._rows()
-        paths = emit_report(rows, [], tmp_path / "out")
+        paths = emit_report(rows, [], tmp_path / "out", b=0.5)
         assert read_rows_csv(paths[0]) == rows
 
+    def test_csv_round_trip_of_every_column_and_empty_cells(self, tmp_path):
+        # Every field set, and a warning row with only n and sessions.
+        full = SweepRow(
+            n=4096, m=8, b_effective=0.25, sessions=1000, delta_analytic=191.5,
+            delta_sim=191.25, delta_sim_stderr=0.125, delta_timeline=191.0,
+            delta_baseline=4097.5, wall_time_s=0.75,
+        )
+        warning = SweepRow(
+            n=97, m=None, b_effective=None, sessions=1000,
+            delta_analytic=None, delta_sim=None, delta_sim_stderr=None,
+        )
+        paths = emit_report([full, warning], [], tmp_path / "out", b=0.25)
+        assert paths[0].read_text().splitlines()[1:] == [
+            "4096,8,0.25,1000,191.5,191.25,0.125,191.0,4097.5,0.75",
+            "97,,,1000,,,,,,",
+        ]
+        assert read_rows_csv(paths[0]) == [full, warning]
+
     def test_no_fit_requested_note(self, tmp_path):
-        paths = emit_report(self._rows(), [], tmp_path / "out")
+        paths = emit_report(self._rows(), [], tmp_path / "out", b=0.5)
         assert "no fit requested" in paths[1].read_text()
 
     def test_summary_matches_fit_to_six_decimals(self, tmp_path):
@@ -271,7 +304,7 @@ class TestEmitReport:
         assert "max(b, 1-3b) = 0.250000" in text
 
     def test_header_exact(self, tmp_path):
-        paths = emit_report(self._rows(), [], tmp_path / "out")
+        paths = emit_report(self._rows(), [], tmp_path / "out", b=0.5)
         header = paths[0].read_text().splitlines()[0]
         assert header == (
             "n,M,b_effective,sessions,delta_analytic,delta_sim,delta_sim_stderr,"
@@ -282,7 +315,7 @@ class TestEmitReport:
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         with pytest.raises(OSError):
-            emit_report(self._rows(), [], target / "sub")
+            emit_report(self._rows(), [], target / "sub", b=0.5)
 
 
 class TestCli:
@@ -318,6 +351,20 @@ class TestCli:
         )
         assert code == 2
         assert "workers must be >= 1, got -5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_grid_with_n_one_exits_2_without_warnings(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "sweep", "--n-grid", "1,2,4,8", "--b", "0.25", "--sessions", "1000",
+                    "--no-timing", "--out", str(out_dir),
+                ]
+            )
+        assert code == 2
+        assert "n_grid values must be >= 2" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):

@@ -12,9 +12,6 @@ from aoilab import (
     StreamSpec,
     harmonic,
     make_stream,
-    sample_exp,
-    sample_max_exp,
-    sample_min_exp,
     simulate_sessions,
 )
 from aoilab import scheme
@@ -26,7 +23,6 @@ from aoilab.sampling import (
     fill_stream_rows,
     gamma_from_uniform,
     max_exp_from_uniform,
-    min_exp_from_uniform,
     row_ticks,
     session_stream,
     stream_window,
@@ -95,25 +91,20 @@ class TestStreams:
 class TestSampleExp:
     def test_mean_within_four_se(self):
         stream = make_stream(StreamSpec(11, 0))
-        draws = sample_exp(stream, 1.0, size=10**6)
+        draws = exp_from_uniform(stream.random(10**6), 1.0)
         assert abs(draws.mean() - 1.0) < 4.0 / np.sqrt(draws.size)
 
     def test_variance_within_four_se(self):
         stream = make_stream(StreamSpec(12, 0))
         rate = 1.5
-        draws = sample_exp(stream, rate, size=10**6)
+        draws = exp_from_uniform(stream.random(10**6), rate)
         sq = (draws - draws.mean()) ** 2
         se_var = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(draws.var(ddof=1) - 1.0 / rate**2) < 4.0 * se_var
 
     def test_rate_scaling_exact_under_same_stream(self):
-        a = sample_exp(make_stream(StreamSpec(13, 1)), 1.0, size=1000)
-        b = sample_exp(make_stream(StreamSpec(13, 1)), 2.0, size=1000)
-        assert np.array_equal(b, a / 2.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            sample_exp(make_stream(StreamSpec(0, 0)), 0.0)
+        u = make_stream(StreamSpec(13, 1)).random(1000)
+        assert np.array_equal(exp_from_uniform(u, 2.0), exp_from_uniform(u, 1.0) / 2.0)
 
     def test_strictly_positive_even_at_zero_uniform(self):
         assert exp_from_uniform(0.0, 1.0) > 0.0
@@ -127,14 +118,14 @@ class TestSampleMaxExp:
 
     def test_mean_matches_harmonic(self):
         stream = make_stream(StreamSpec(21, 0))
-        draws = sample_max_exp(stream, 10, 1.0, size=10**6)
+        draws = max_exp_from_uniform(stream.random(10**6), 10, 1.0)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - harmonic(10)) < 4 * se
 
     def test_kolmogorov_smirnov(self):
         stream = make_stream(StreamSpec(22, 0))
         count, rate = 7, 2.0
-        draws = sample_max_exp(stream, count, rate, size=10**5)
+        draws = max_exp_from_uniform(stream.random(10**5), count, rate)
         result = stats.kstest(draws, lambda x: (1.0 - np.exp(-rate * x)) ** count)
         assert result.pvalue > 0.01
 
@@ -153,36 +144,29 @@ class TestSampleMaxExp:
             x = max_exp_from_uniform(u, count, 3.0)
             assert np.all(x > 0) and np.all(np.isfinite(x))
 
-    def test_rejects_bad_args(self):
-        stream = make_stream(StreamSpec(0, 0))
-        with pytest.raises(ValueError):
-            sample_max_exp(stream, 0, 1.0)
-        with pytest.raises(ValueError):
-            sample_max_exp(stream, 3, -1.0)
-
 
 class TestSampleMinExp:
+    """The min of ``count`` i.i.d. Exp(rate) is Exp(count * rate), so a
+    minimum is one exponential draw at the scaled rate."""
+
     def test_mean_of_min(self):
         stream = make_stream(StreamSpec(31, 0))
         m, rate = 4, 0.5
-        draws = sample_min_exp(stream, m * m, rate, size=10**6)
+        draws = exp_from_uniform(stream.random(10**6), m * m * rate)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 1.0 / (m * m * rate)) < 4 * se
 
     def test_count_four_rate_half(self):
         stream = make_stream(StreamSpec(32, 0))
-        draws = sample_min_exp(stream, 4, 0.5, size=10**6)
+        draws = exp_from_uniform(stream.random(10**6), 4 * 0.5)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 4 * se
 
-    def test_count_one_identical_to_sample_exp(self):
-        a = sample_min_exp(make_stream(StreamSpec(33, 2)), 1, 1.3, size=100)
-        b = sample_exp(make_stream(StreamSpec(33, 2)), 1.3, size=100)
-        assert np.array_equal(a, b)
-
     def test_transform_is_exponential_at_scaled_rate(self):
-        u = np.linspace(0.01, 0.99, 11)
-        assert np.array_equal(min_exp_from_uniform(u, 6, 0.5), exp_from_uniform(u, 3.0))
+        # Explicit minima of 6 draws at rate 0.5 against Exp(3).
+        u = make_stream(StreamSpec(33, 2)).random((20_000, 6))
+        minima = exp_from_uniform(u, 0.5).min(axis=1)
+        assert stats.kstest(minima, stats.expon(scale=1 / 3.0).cdf).pvalue > 1e-3
 
 
 class TestInPlaceTransforms:

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,19 +24,18 @@ from aoilab import (
     merge_summaries,
     phase_moments,
     sample_coupled_sessions,
-    sample_session_exact,
-    sample_session_worsened,
     simulate_round_robin,
     simulate_sessions,
 )
 from aoilab import scheme
 from aoilab.sampling import exp_from_uniform, session_stream
 from aoilab.scheme import (
-    SessionSample,
+    _exact_kernel,
     _exact_width,
     _phase_two,
     _phase_two_width,
     _round_robin_kernel,
+    _worsened_kernel,
     _worsened_width,
 )
 
@@ -108,12 +108,11 @@ class TestWorsenedSampler:
             )
             assert [s.count for s in run.batch_summaries] == [32, 32]
             for s in (0, 32, 63):
-                stream = session_stream(7, 3, s, width)
-                sample = sample_session_worsened(params, stream, mode)
-                assert sample.y == run.y[s]
-                assert sample.d == run.d[s]
-                assert sample.z == run.z[s]
-                assert sample.variant == Variant.WORSENED
+                u = session_stream(7, 3, s, width).random(width)[None, :]
+                cols = _worsened_kernel(u, params, mode)
+                assert cols["y"][0] == run.y[s]
+                assert cols["d"][0] == run.d[s]
+                assert cols["z"][0] == run.z[s]
 
     def test_phase_independence(self):
         run = simulate_sessions(SchemeParams(64, 4), 100_000, master_seed=106)
@@ -178,11 +177,11 @@ class TestExactSampler:
         params = SchemeParams(64, 4)
         run = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=5)
         assert [rows for _, rows, _ in fills] == [4, 4, 4, 4]
+        width = _exact_width(params)
         for s in (0, 4, 15):
-            stream = session_stream(5, 0, s, _exact_width(params))
-            sample = sample_session_exact(params, stream)
-            assert sample.y == run.y[s]
-            assert sample.z == run.z[s]
+            cols = _exact_kernel(session_stream(5, 0, s, width).random(width)[None, :], params)
+            assert cols["y"][0] == run.y[s]
+            assert cols["z"][0] == run.z[s]
 
 
 class TestCoupledSessions:
@@ -213,33 +212,28 @@ class TestCoupledSessions:
             sample_coupled_sessions(SchemeParams(8, 1), make_stream(StreamSpec(0, 0)))
 
 
-def _worsened_sessions(params, seed, count, mode=DeliveryMode.INDEPENDENT):
-    stream = make_stream(StreamSpec(seed, 0))
-    return [sample_session_worsened(params, stream, mode) for _ in range(count)]
-
-
 class TestWorsenedDelivery:
-    """The delivery wait z of the kernel, drawn through the scalar sampler."""
+    """The delivery wait z of the worsened kernel, through the batch engine."""
 
     def test_m1_is_fresh_exponential(self):
         # At m = 1 the tagged packet goes in the only round, so z is its
         # own final hop: Exp(lambda_intra) in both delivery modes.
         params = SchemeParams(8, 1, lambda_intra=2.0)
         for seed, mode in ((401, DeliveryMode.INDEPENDENT), (402, DeliveryMode.COUPLED)):
-            z = np.array([s.z for s in _worsened_sessions(params, seed, 10_000, mode)])
+            z = simulate_sessions(params, 10_000, delivery=mode, master_seed=seed).z
             assert abs(z.mean() - 0.5) < 4 * _se(z), mode
             assert kstest(z, expon(scale=0.5).cdf).pvalue > 1e-3, mode
 
     def test_independent_mean_matches_closed_form(self):
         params = SchemeParams(64, 4)
-        z = np.array([s.z for s in _worsened_sessions(params, 403, 20_000)])
+        z = simulate_sessions(params, 20_000, master_seed=403).z
         assert abs(z.mean() - phase_moments(params).e_z) < 4 * _se(z)
 
     def test_coupled_never_exceeds_remaining_rounds(self):
         params = SchemeParams(64, 4)
-        for s in _worsened_sessions(params, 404, 10_000, DeliveryMode.COUPLED):
-            assert s.z <= s.y3
-            assert s.d <= s.y
+        run = simulate_sessions(params, 10_000, delivery=DeliveryMode.COUPLED, master_seed=404)
+        assert np.all(run.z <= run.y3)
+        assert np.all(run.d <= run.y)
 
 
 class TestPhaseTwo:
@@ -288,14 +282,16 @@ class TestPhaseTwo:
             assert [s.count for s in run.batch_summaries] == [32, 32, 32]
             for s in (0, 32, 95):
                 if variant == Variant.WORSENED:
-                    stream = session_stream(415, 2, s, _worsened_width(params))
-                    sample = sample_session_worsened(params, stream, mode)
+                    width = _worsened_width(params)
+                    u = session_stream(415, 2, s, width).random(width)[None, :]
+                    cols = _worsened_kernel(u, params, mode)
                 else:
-                    stream = session_stream(415, 2, s, _exact_width(params))
-                    sample = sample_session_exact(params, stream)
-                assert sample.y2 == run.y2[s]
-                assert sample.y == run.y[s]
-                assert sample.d == run.d[s]
+                    width = _exact_width(params)
+                    u = session_stream(415, 2, s, width).random(width)[None, :]
+                    cols = _exact_kernel(u, params)
+                assert cols["y2"][0] == run.y2[s]
+                assert cols["y"][0] == run.y[s]
+                assert cols["d"][0] == run.d[s]
 
     def test_coupled_sessions_keep_pathwise_bounds(self):
         params = SchemeParams(4096, 8)
@@ -319,17 +315,17 @@ class TestMomentSummary:
         )
         full = MomentSummary.from_arrays(y, d)
         assert merged.count == full.count
-        for field in ("sum_y", "sum_y_sq", "sum_d", "sum_d_sq", "sum_dy"):
+        for field in ("sum_y", "sum_y_sq", "sum_d"):
             assert getattr(merged, field) == pytest.approx(getattr(full, field), rel=1e-12)
 
     def test_merge_commutative_and_associative(self):
-        a = MomentSummary(10, 1.0, 2.0, 3.0, 4.0, 5.0)
-        b = MomentSummary(20, 1.5, 2.5, 3.5, 4.5, 5.5)
-        c = MomentSummary(30, 0.5, 0.25, 0.75, 0.1, 0.2)
+        a = MomentSummary(10, 1.0, 2.0, 3.0)
+        b = MomentSummary(20, 1.5, 2.5, 3.5)
+        c = MomentSummary(30, 0.5, 0.25, 0.75)
         assert a.merge(b) == b.merge(a)
         left = a.merge(b).merge(c)
         right = a.merge(b.merge(c))
-        for field in ("sum_y", "sum_y_sq", "sum_d", "sum_d_sq", "sum_dy"):
+        for field in ("sum_y", "sum_y_sq", "sum_d"):
             assert getattr(left, field) == pytest.approx(getattr(right, field), rel=1e-12)
 
     def test_bit_identical_across_worker_counts(self, fills):
@@ -355,10 +351,8 @@ class TestEstimators:
             sum_y=10 * y0,
             sum_y_sq=10 * y0 * y0,
             sum_d=10 * d0,
-            sum_d_sq=10 * d0 * d0,
-            sum_dy=10 * d0 * y0,
         )
-        est = estimate_age_moment_formula(summary)
+        est = estimate_age_moment_formula([summary])
         assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-14)
 
     def test_moment_formula_matches_closed_form(self):
@@ -384,14 +378,11 @@ class TestEstimators:
 
     def test_rejects_too_few_sessions(self):
         with pytest.raises(ValueError):
-            estimate_age_moment_formula(MomentSummary(1, 1.0, 1.0, 1.0, 1.0, 1.0))
+            estimate_age_moment_formula([MomentSummary(1, 1.0, 1.0, 1.0)])
 
     def test_timeline_on_deterministic_sessions(self):
         y0, d0 = 2.0, 0.75
-        sessions = [
-            SessionSample(0.1, 0.1, 1.8, d0 - 0.2, d0, y0, Variant.WORSENED)
-            for _ in range(100)
-        ]
+        sessions = SimpleNamespace(y=np.full(100, y0), d=np.full(100, d0))
         est = integrate_age_timeline(sessions)
         assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-12)
         assert est.method == "timeline"
@@ -416,10 +407,7 @@ class TestEstimators:
             assert np.isnan(std_err) if sessions < 65 else std_err > 0, sessions
 
     def test_timeline_rejects_late_deliveries(self):
-        sessions = [
-            SessionSample(0.1, 0.1, 1.0, 2.0, 2.2, 1.2, Variant.WORSENED),
-            SessionSample(0.1, 0.1, 1.0, 0.5, 0.7, 1.2, Variant.WORSENED),
-        ]
+        sessions = SimpleNamespace(y=np.array([1.2, 1.2]), d=np.array([2.2, 0.7]))
         with pytest.raises(ValueError):
             integrate_age_timeline(sessions)
 
