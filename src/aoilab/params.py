@@ -22,8 +22,12 @@ class SchemeParams:
     lambda_inter: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not isinstance(self.n, int):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if self.n < 2:
+            raise ValueError(
+                f"n must be >= 2 (a node is never its own destination), got {self.n}"
+            )
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.m > self.n:

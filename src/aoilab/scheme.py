@@ -24,6 +24,8 @@ independent of worker count and any session replays through
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,9 +74,6 @@ class SessionSample:
     y: float
 
 
-_COLUMNS = ("y1", "y2", "y3", "z", "d", "y")
-
-
 @dataclass(frozen=True)
 class MomentSummary:
     """Streaming sums of Y, Y^2 and D: all the moment estimator reads."""
@@ -83,15 +82,6 @@ class MomentSummary:
     sum_y: float = 0.0
     sum_y_sq: float = 0.0
     sum_d: float = 0.0
-
-    @classmethod
-    def from_arrays(cls, y: np.ndarray, d: np.ndarray) -> "MomentSummary":
-        return cls(
-            count=int(y.size),
-            sum_y=float(np.sum(y)),
-            sum_y_sq=float(np.sum(y * y)),
-            sum_d=float(np.sum(d)),
-        )
 
     def merge(self, other: "MomentSummary") -> "MomentSummary":
         return MomentSummary(
@@ -130,27 +120,25 @@ class AgeEstimate:
 
 @dataclass
 class SimulationRun:
-    """Column store of simulated sessions plus per-batch moment summaries.
+    """Per-batch sums of a run's simulated sessions; no per-session column.
 
-    Sessions appear in session order; ``batch_summaries[i]`` covers
-    sessions ``[b[i], b[i+1])`` with ``b = _batch_bounds(sessions)``: at
-    most 32 consecutive batches whose sizes differ by at most 1, each of
-    at least 32 sessions unless the run is a single batch.
+    ``batch_summaries[i]`` covers sessions ``[b[i], b[i+1])`` with
+    ``b = _batch_bounds(sessions)``: at most 32 consecutive batches whose
+    sizes differ by at most 1, each of at least 32 sessions unless the run
+    is a single batch.  ``segment_sums[i]`` is the ``(area, elapsed)`` of
+    the sawtooth age over segments ``[c[i], c[i+1])`` with
+    ``c = _batch_bounds(sessions - 1)``, where segment ``j`` runs from the
+    delivery of session ``j`` to that of session ``j + 1`` (see
+    :func:`integrate_age_timeline`).  ``late_deliveries`` counts the
+    sessions with ``d > y``.
     """
 
     master_seed: int
     base_stream_index: int
-    y1: np.ndarray = field(repr=False)
-    y2: np.ndarray = field(repr=False)
-    y3: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
+    sessions: int
     batch_summaries: list[MomentSummary] = field(repr=False)
-
-    @property
-    def sessions(self) -> int:
-        return int(self.y.size)
+    segment_sums: list[tuple[float, float]] = field(repr=False)
+    late_deliveries: int
 
     @property
     def batch_size(self) -> int:
@@ -420,6 +408,28 @@ def _batch_bounds(count: int) -> list[int]:
     return [i * count // k for i in range(k + 1)]
 
 
+def _chunk_sums(y: np.ndarray, d: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
+    """Sums of ``Y``, ``Y^2``, ``D``, the segment areas and the segment lengths
+    over the pieces of one chunk's rows that start at ``cuts``.
+
+    Segment ``i`` runs from delivery ``i`` to delivery ``i + 1``: its
+    length is ``(y_i - d_i) + d_{i+1}``, taken locally so that no error
+    builds up along the run.  The chunk's last segment ends in the next
+    chunk, so its entries here are 0.
+    """
+    terms = np.empty((5, y.size))
+    terms[0] = y
+    np.multiply(y, y, out=terms[1])
+    terms[2] = d
+    areas, gaps = terms[3], terms[4]
+    np.subtract(y[:-1], d[:-1], out=gaps[:-1])
+    gaps[:-1] += d[1:]
+    gaps[-1] = 0.0
+    np.multiply(gaps, d, out=areas)
+    areas += 0.5 * gaps * gaps
+    return np.add.reduceat(terms, cuts, axis=1)
+
+
 def _run_batches(
     kernel: Callable[[np.ndarray], dict],
     width: int,
@@ -428,49 +438,88 @@ def _run_batches(
     base_stream_index: int,
     workers: int,
 ) -> SimulationRun:
-    """Fill and run ``kernel`` (uniform rows -> columns) chunk by chunk.
+    """Fill, run ``kernel`` (uniform rows -> columns) and reduce chunk by chunk.
 
     Compute chunks set the work: the most consecutive rows whose padded
     uniforms fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
-    Each fills its rows with one call, runs the kernel once and writes its
-    columns into its slice of the run's arrays; kernels work row by row, so
-    the chunk plan never changes a value.  Chunks run on up to ``workers``
-    threads of this process (the fill and the kernels release the GIL), or
-    inline on the caller's thread when only one would run.  Batches set the
-    statistics: the caller's thread then sums each batch of
-    :func:`_batch_bounds` from the finished columns.
+    Each fills its rows with one call, runs the kernel once and reduces its
+    ``y`` and ``d`` columns at once into sums over the pieces it shares
+    with the batches of :func:`_batch_bounds` (sessions for the moments,
+    segments between deliveries for the timeline); its columns are then
+    dropped.  Chunks run on up to ``workers`` threads of this process (the
+    fill and the kernels release the GIL), or inline on the caller's thread
+    when only one would run.  The caller's thread adds the pieces, and the
+    segment that crosses from each chunk into the next, into the batch sums
+    in chunk order.  The chunk plan depends only on ``width`` and
+    ``sessions``, so every sum is the same for any worker count; memory
+    holds a few chunks per thread, whatever the session count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
-    stream_window(base_stream_index, sessions, width)  # raises before allocating
-    out = {name: np.empty(sessions) for name in _COLUMNS}
+    stream_window(base_stream_index, sessions, width)  # raises before any work
     rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // (4 * row_ticks(width)))
     chunks = range(0, sessions, rows)
+    session_bounds = _batch_bounds(sessions)
+    segment_bounds = _batch_bounds(sessions - 1)
+    # Every piece lies in one session batch and one segment batch.
+    starts = sorted(set(session_bounds[:-1]) | set(segment_bounds[:-1]))
 
-    def run_chunk(lo: int) -> None:
+    def reduce_chunk(lo: int) -> tuple:
         hi = min(lo + rows, sessions)
         cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
-        for name in _COLUMNS:
-            out[name][lo:hi] = cols[name]
+        y, d = cols["y"], cols["d"]
+        cuts = [lo, *starts[bisect_right(starts, lo) : bisect_left(starts, hi)]]
+        sums = _chunk_sums(y, d, [c - lo for c in cuts])
+        return lo, cuts, sums, int(np.count_nonzero(d > y)), d[0], y[-1], d[-1]
+
+    moments = np.zeros((len(session_bounds) - 1, 3))
+    segments = np.zeros((len(segment_bounds) - 1, 2))
+    late = 0
+    last = None  # (y, d) of the previous chunk's last session
+
+    def segment_batch(first: int) -> int:
+        # The last session starts no segment; its piece adds zeros.
+        return min(bisect_right(segment_bounds, first), len(segments)) - 1
+
+    def merge(reduced: tuple) -> None:
+        nonlocal late, last
+        lo, cuts, sums, chunk_late, first_d, last_y, last_d = reduced
+        if last is not None:
+            prev_y, prev_d = last
+            gap = (prev_y - prev_d) + first_d
+            segments[segment_batch(lo - 1)] += (gap * prev_d + 0.5 * gap * gap, gap)
+        for first, col in zip(cuts, sums.T):
+            moments[bisect_right(session_bounds, first) - 1] += col[:3]
+            segments[segment_batch(first)] += col[3:]
+        late += chunk_late
+        last = (last_y, last_d)
 
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
+        # At most two pending chunks per thread, merged in chunk order.
         with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run_chunk, chunks))  # raises a chunk's error
+            pending = deque()
+            for lo in chunks:
+                pending.append(pool.submit(reduce_chunk, lo))
+                if len(pending) > 2 * threads:
+                    merge(pending.popleft().result())  # raises a chunk's error
+            while pending:
+                merge(pending.popleft().result())
     else:
         for lo in chunks:
-            run_chunk(lo)
-    bounds = _batch_bounds(sessions)
-    y, d = out["y"], out["d"]
+            merge(reduce_chunk(lo))
     return SimulationRun(
         master_seed=master_seed,
         base_stream_index=base_stream_index,
-        **out,
+        sessions=sessions,
         batch_summaries=[
-            MomentSummary.from_arrays(y[a:b], d[a:b]) for a, b in zip(bounds, bounds[1:])
+            MomentSummary(b - a, *map(float, sums))
+            for a, b, sums in zip(session_bounds, session_bounds[1:], moments)
         ],
+        segment_sums=[(float(area), float(gap)) for area, gap in segments],
+        late_deliveries=late,
     )
 
 
@@ -491,11 +540,13 @@ def simulate_sessions(
     ``workers`` threads of this process split the run into compute chunks
     (one worker runs them on the caller's thread).  A chunk is the most
     consecutive rows whose padded uniforms fit in 256 KiB, and at least 4
-    rows; each thread holds one chunk's uniforms at a time.  The moment
-    summaries cover up to 32 batches of near-equal size (see
-    :class:`SimulationRun`), apart from the chunks.  Batch boundaries, the
-    chunk plan and the reduction order depend only on the layout and
-    session count, so outputs are bit-identical for any ``workers``.
+    rows; each thread holds one chunk's uniforms at a time, and each chunk
+    is reduced to batch sums as soon as its kernel returns, so memory does
+    not grow with ``sessions``.  The sums cover up to 32 batches of
+    near-equal size (see :class:`SimulationRun`), apart from the chunks.
+    Batch boundaries, the chunk plan and the reduction order depend only on
+    the layout and session count, so outputs are bit-identical for any
+    ``workers``.
     """
     variant = Variant(variant)
     delivery = DeliveryMode(delivery)
@@ -569,7 +620,7 @@ def estimate_age_moment_formula(summaries: Sequence[MomentSummary]) -> AgeEstima
 
 def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
     """Direct area integration of the sawtooth age process of ``run``'s
-    sessions, read from its ``y`` and ``d`` columns.
+    sessions, read from its ``segment_sums``.
 
     Sessions are laid end to end; update j is generated when session j
     starts and delivered d_j later, dropping the age to d_j.  The exact
@@ -580,30 +631,20 @@ def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
     deliveries, in the batches of :func:`_batch_bounds` (NaN for fewer
     than 64 segments, which make one batch).
     """
-    y, d = run.y, run.d
-    if y.size < 2:
-        raise ValueError(f"need at least 2 sessions, got {y.size}")
-    if np.any(d > y):
-        bad = int(np.sum(d > y))
+    if run.sessions < 2:
+        raise ValueError(f"need at least 2 sessions, got {run.sessions}")
+    if run.late_deliveries:
         raise ValueError(
-            f"{bad} sessions deliver after the session ends (d > y); timeline "
-            f"integration needs coupled delivery"
+            f"{run.late_deliveries} sessions deliver after the session ends (d > y); "
+            f"timeline integration needs coupled delivery"
         )
-    t_start = np.cumsum(y) - y
-    t_deliver = t_start + d
-    gaps = np.diff(t_deliver)
-    areas = gaps * d[:-1] + 0.5 * gaps * gaps
-    elapsed = t_deliver[-1] - t_deliver[0]
-    delta = float(areas.sum() / elapsed)
-
-    bounds = _batch_bounds(areas.size)
-    if len(bounds) > 2:
-        per_batch = np.array(
-            [areas[a:b].sum() / gaps[a:b].sum() for a, b in zip(bounds, bounds[1:])]
-        )
+    areas, elapsed = np.array(run.segment_sums).T
+    delta = float(areas.sum() / elapsed.sum())
+    if areas.size >= 2:
+        per_batch = areas / elapsed
         std_err = float(per_batch.std(ddof=1) / np.sqrt(per_batch.size))
     else:
         std_err = float("nan")
     return AgeEstimate(
-        delta_hat=delta, std_err=std_err, method="timeline", sessions=int(y.size)
+        delta_hat=delta, std_err=std_err, method="timeline", sessions=run.sessions
     )

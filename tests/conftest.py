@@ -1,10 +1,12 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from aoilab import scheme
 from aoilab.geometry import Topology
+from aoilab.sampling import fill_stream_rows
 
 
 @pytest.fixture
@@ -19,6 +21,54 @@ def fills(monkeypatch):
 
     monkeypatch.setattr(scheme, "fill_stream_rows", recording)
     return calls
+
+
+def _kernel_columns(kernel, width, sessions, master_seed, base_stream_index):
+    """Every column of sessions ``0 .. sessions - 1`` of a run: row ``s`` of
+    its counter window through ``kernel``, the rows the batch engine draws."""
+    rows = max(1, (1 << 20) // width)
+    parts = [
+        kernel(fill_stream_rows(
+            master_seed, base_stream_index, lo, min(rows, sessions - lo), width
+        ))
+        for lo in range(0, sessions, rows)
+    ]
+    return SimpleNamespace(**{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+
+
+@pytest.fixture
+def session_columns():
+    """``columns(params, sessions, variant=, delivery=, master_seed=,
+    base_stream_index=)``: the per-session columns ``y1, y2, y3, z, d, y``
+    of the run ``simulate_sessions`` makes with the same arguments, which
+    keeps only their batch sums."""
+
+    def columns(params, sessions, *, variant="worsened", delivery="independent",
+                master_seed=0, base_stream_index=0):
+        if scheme.Variant(variant) == scheme.Variant.WORSENED:
+            mode = scheme.DeliveryMode(delivery)
+            kernel = lambda u: scheme._worsened_kernel(u, params, mode)  # noqa: E731
+            width = scheme._worsened_width(params)
+        else:
+            kernel = lambda u: scheme._exact_kernel(u, params)  # noqa: E731
+            width = scheme._exact_width(params)
+        return _kernel_columns(kernel, width, sessions, master_seed, base_stream_index)
+
+    return columns
+
+
+@pytest.fixture
+def round_robin_columns():
+    """``columns(n, rate, sessions, master_seed=, base_stream_index=)``: the
+    columns of the run ``simulate_round_robin`` makes with the same arguments."""
+
+    def columns(n, rate, sessions, *, master_seed=0, base_stream_index=0):
+        kernel = lambda u: scheme._round_robin_kernel(u, n, rate)  # noqa: E731
+        return _kernel_columns(
+            kernel, scheme._ROUND_ROBIN_WIDTH, sessions, master_seed, base_stream_index
+        )
+
+    return columns
 
 
 def _read_topology_csv(path, area_side, grid=None):

@@ -71,7 +71,7 @@ def test_criterion_1_order_statistic_moments():
     _report(1, f"12 parameter combos, worst deviation {worst:.2f} se, {elapsed:.1f}s")
 
 
-def test_criterion_2_phase_moments():
+def test_criterion_2_phase_moments(session_columns):
     """Worsened-session phase moments vs closed forms at four points."""
     worst = 0.0
     for idx, (n, m, lam, lam_t) in enumerate(
@@ -79,7 +79,8 @@ def test_criterion_2_phase_moments():
     ):
         params = SchemeParams(n, m, lam, lam_t)
         started = time.perf_counter()
-        run = simulate_sessions(params, 10**6, master_seed=977100 + idx)
+        # The sessions simulate_sessions draws, as columns (a run keeps sums).
+        run = session_columns(params, 10**6, master_seed=977100 + idx)
         pm = phase_moments(params)
         checks = [
             (run.y1, pm.e_y1, "e_y1"),

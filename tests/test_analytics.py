@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoilab import (
@@ -236,6 +236,7 @@ class TestClosedFormAge:
         st.floats(min_value=0.1, max_value=10.0),
     )
     def test_positivity(self, m, cells, lam, lam_t):
+        assume(m * cells >= 2)  # a single node has no destination
         params = SchemeParams(m * cells, m, lam, lam_t)
         breakdown = closed_form_age(params)
         assert all(value > 0 for _, value in breakdown.per_term)
@@ -303,6 +304,13 @@ class TestSchemeParams:
             SchemeParams(8, 2, lambda_intra=0.0)
         with pytest.raises(ValueError):
             SchemeParams(0, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_nodes_rejected_with_reason(self, n):
+        with pytest.raises(
+            ValueError, match=rf"^n must be >= 2 \(a node is never its own destination\), got {n}$"
+        ):
+            SchemeParams(n, 1)
 
     def test_derived(self):
         params = SchemeParams(1024, 8)

@@ -2,14 +2,17 @@
 
 import json
 import logging
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import aoilab
 from aoilab import (
     SchemeParams,
     closed_form_age,
@@ -366,6 +369,48 @@ class TestCli:
         assert code == 2
         assert "n_grid values must be >= 2" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_single_node_network_exits_2(self, capsys):
+        # A node is never its own destination: analyze and simulate refuse
+        # n = 1 instead of printing an age.
+        for command in ("analyze", "simulate"):
+            assert main([command, "--n", "1", "--m", "1"]) == 2, command
+            captured = capsys.readouterr()
+            assert "n must be >= 2 (a node is never its own destination), got 1" in captured.err
+            assert captured.out == ""
+
+    def test_baseline_single_pair(self, capsys):
+        # Turn-taking with n = 1 is one pair served every slot: age 2 / rate.
+        assert main(["baseline", "--n", "1", "--sessions", "20000", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "delta_closed_form=2.0" in out
+        assert "delta_sim=" in out
+
+    def test_simulate_peak_memory_does_not_grow_with_sessions(self):
+        # A run keeps batch sums, not per-session columns (one column of
+        # 4e6 sessions is 32 MB): 40 times the sessions of a coupled
+        # (1024, 8) run with both estimators add less than 16 MB of peak RSS.
+        script = (
+            "import resource, sys\n"
+            "from aoilab.expcli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(aoilab.__file__).parents[1])}
+        peaks_mb = []
+        for sessions in (10**5, 4 * 10**6):
+            result = subprocess.run(
+                [
+                    sys.executable, "-c", script, "simulate", "--n", "1024", "--m", "8",
+                    "--delivery", "coupled", "--sessions", str(sessions), "--estimator", "both",
+                ],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            # ru_maxrss is in KiB on Linux and in bytes on macOS.
+            scale = 2**20 if sys.platform == "darwin" else 2**10
+            peaks_mb.append(int(result.stdout.split()[-1]) / scale)
+        assert peaks_mb[1] - peaks_mb[0] < 16.0, peaks_mb
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -4,7 +4,6 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +43,39 @@ def _se(arr):
     return arr.std(ddof=1) / np.sqrt(arr.size)
 
 
+def _constant_run(sessions, y0, d0):
+    """A run of identical sessions ``(y0, d0)`` through the batch engine."""
+
+    def kernel(u):
+        return {"y": np.full(u.shape[0], y0), "d": np.full(u.shape[0], d0)}
+
+    return scheme._run_batches(kernel, 1, sessions, 0, 0, 1)
+
+
+def _assert_replayed_sums(run, kernel, width, monkeypatch):
+    """Check ``run`` against its sessions replayed one by one from their own
+    streams through ``kernel``: the batch engine, fed the replayed rows in
+    place of its fills, must reproduce every sum of ``run`` bit for bit."""
+    streams = [
+        session_stream(run.master_seed, run.base_stream_index, s, width)
+        for s in range(run.sessions)
+    ]
+    rows = [kernel(stream.random(width)[None, :]) for stream in streams]
+    y = np.array([row["y"][0] for row in rows])
+    d = np.array([row["d"][0] for row in rows])
+
+    def session_indices(master_seed, base_stream_index, first_session, rows, width):
+        return np.arange(first_session, first_session + rows)[:, None]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "fill_stream_rows", session_indices)
+        replayed = scheme._run_batches(
+            lambda s: {"y": y[s[:, 0]], "d": d[s[:, 0]]},
+            width, run.sessions, run.master_seed, run.base_stream_index, 1,
+        )
+    _assert_same_run(run, replayed)
+
+
 def _reference_round_robin(n, rate, stream):
     """One turn-taking session slot by slot: n explicit slot durations, the
     tagged pair in a uniform slot j.  Returns (d, y): the sum of the first j
@@ -54,9 +86,9 @@ def _reference_round_robin(n, rate, stream):
 
 
 class TestWorsenedSampler:
-    def test_phase_means_match_closed_forms(self):
+    def test_phase_means_match_closed_forms(self, session_columns):
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 200_000, master_seed=101)
+        run = session_columns(params, 200_000, master_seed=101)
         pm = phase_moments(params)
         for name, expected in [
             ("y1", pm.e_y1), ("y2", pm.e_y2), ("y3", pm.e_y3), ("z", pm.e_z),
@@ -64,9 +96,9 @@ class TestWorsenedSampler:
             arr = getattr(run, name)
             assert abs(arr.mean() - expected) < 4 * _se(arr), name
 
-    def test_second_moments_match_closed_forms(self):
+    def test_second_moments_match_closed_forms(self, session_columns):
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 200_000, master_seed=102)
+        run = session_columns(params, 200_000, master_seed=102)
         pm = phase_moments(params)
         for name, expected in [
             ("y1", pm.e_y1_sq), ("y2", pm.e_y2_sq), ("y3", pm.e_y3_sq),
@@ -74,31 +106,30 @@ class TestWorsenedSampler:
             sq = getattr(run, name) ** 2
             assert abs(sq.mean() - expected) < 4 * _se(sq), name
 
-    def test_single_node_cells_phase_one_is_max_of_n(self):
+    def test_single_node_cells_phase_one_is_max_of_n(self, session_columns):
         params = SchemeParams(32, 1, lambda_intra=2.0)
-        run = simulate_sessions(params, 100_000, master_seed=103)
+        run = session_columns(params, 100_000, master_seed=103)
         expected = harmonic(32) / 2.0
         assert abs(run.y1.mean() - expected) < 4 * _se(run.y1)
 
-    def test_single_cell_phase_two_is_one_max(self):
+    def test_single_cell_phase_two_is_one_max(self, session_columns):
         m = 8
         params = SchemeParams(m, m, lambda_inter=0.5)
-        run = simulate_sessions(params, 100_000, master_seed=104)
+        run = session_columns(params, 100_000, master_seed=104)
         expected = harmonic(m) / (m * m * 0.5)
         assert abs(run.y2.mean() - expected) < 4 * _se(run.y2)
 
-    def test_additivity_and_positivity(self):
+    def test_additivity_and_positivity(self, session_columns):
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 10_000, master_seed=105)
+        run = session_columns(params, 10_000, master_seed=105)
         assert np.array_equal(run.d, run.y1 + run.y2 + run.z)
         assert np.array_equal(run.y, run.y1 + run.y2 + run.y3)
         for col in (run.y1, run.y2, run.y3, run.z):
             assert np.all(col > 0)
 
     def test_scalar_matches_batch_row(self, monkeypatch):
-        # Session 0, the first session of the second batch and the last one
-        # replay bit for bit from their own streams, in both delivery modes.
-        # 4-row chunks make session 32 the first row of a later chunk too.
+        # Every session replays bit for bit from its own stream, in 4-row
+        # chunks and 2 batches of 32, in both delivery modes.
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(64, 4)
         width = _worsened_width(params)
@@ -107,29 +138,38 @@ class TestWorsenedSampler:
                 params, 64, delivery=mode, master_seed=7, base_stream_index=3,
             )
             assert [s.count for s in run.batch_summaries] == [32, 32]
-            for s in (0, 32, 63):
-                u = session_stream(7, 3, s, width).random(width)[None, :]
-                cols = _worsened_kernel(u, params, mode)
-                assert cols["y"][0] == run.y[s]
-                assert cols["d"][0] == run.d[s]
-                assert cols["z"][0] == run.z[s]
+            _assert_replayed_sums(
+                run, lambda u: _worsened_kernel(u, params, mode), width, monkeypatch
+            )
 
-    def test_phase_independence(self):
-        run = simulate_sessions(SchemeParams(64, 4), 100_000, master_seed=106)
+    def test_phase_independence(self, session_columns):
+        run = session_columns(SchemeParams(64, 4), 100_000, master_seed=106)
         n = run.y1.size
         for a, b in [(run.y1, run.y2), (run.y1, run.y3), (run.y2, run.y3)]:
             r = np.corrcoef(a, b)[0, 1]
             assert abs(r) < 4.0 / np.sqrt(n)
 
-    def test_coupled_mode_sessions_deliver_in_time(self):
-        run = simulate_sessions(
-            SchemeParams(64, 4), 100_000, delivery=DeliveryMode.COUPLED, master_seed=107
-        )
+    def test_coupled_mode_sessions_deliver_in_time(self, session_columns):
+        args = (SchemeParams(64, 4), 100_000)
+        run = session_columns(*args, delivery=DeliveryMode.COUPLED, master_seed=107)
         assert np.all(run.d <= run.y)
+        assert simulate_sessions(*args, delivery="coupled", master_seed=107).late_deliveries == 0
 
-    def test_coupled_mode_keeps_marginal_means(self):
+    def test_late_deliveries_counted_per_session(self, session_columns, monkeypatch):
+        # Independent delivery lands after the session end on some paths;
+        # the run counts them in its chunks, in 4-row chunks and on 2 threads.
         params = SchemeParams(64, 4)
-        run = simulate_sessions(
+        cols = session_columns(params, 5_000, master_seed=109)
+        late = int(np.sum(cols.d > cols.y))
+        assert late > 0
+        assert simulate_sessions(params, 5_000, master_seed=109).late_deliveries == late
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+        run = simulate_sessions(params, 5_000, master_seed=109, workers=2)
+        assert run.late_deliveries == late
+
+    def test_coupled_mode_keeps_marginal_means(self, session_columns):
+        params = SchemeParams(64, 4)
+        run = session_columns(
             params, 200_000, delivery=DeliveryMode.COUPLED, master_seed=108
         )
         pm = phase_moments(params)
@@ -139,24 +179,24 @@ class TestWorsenedSampler:
 
 
 class TestExactSampler:
-    def test_single_cell_reduces_to_per_node_maxima(self):
+    def test_single_cell_reduces_to_per_node_maxima(self, session_columns):
         m = 8
         params = SchemeParams(m, m)
-        run = simulate_sessions(params, 100_000, variant=Variant.EXACT, master_seed=201)
+        run = session_columns(params, 100_000, variant=Variant.EXACT, master_seed=201)
         expected = m * harmonic(m - 1)  # sum of m maxima over m-1 draws
         assert abs(run.y1.mean() - expected) < 4 * _se(run.y1)
 
-    def test_degenerate_m1_has_zero_phase_one(self):
-        run = simulate_sessions(
+    def test_degenerate_m1_has_zero_phase_one(self, session_columns):
+        run = session_columns(
             SchemeParams(16, 1), 5_000, variant=Variant.EXACT, master_seed=202
         )
         assert np.all(run.y1 == 0.0)
         assert np.all(run.d <= run.y)
 
-    def test_exact_phase_means_below_worsened(self):
+    def test_exact_phase_means_below_worsened(self, session_columns):
         params = SchemeParams(256, 8)
-        exact = simulate_sessions(params, 50_000, variant=Variant.EXACT, master_seed=203)
-        worsened = simulate_sessions(params, 50_000, master_seed=203)
+        exact = session_columns(params, 50_000, variant=Variant.EXACT, master_seed=203)
+        worsened = session_columns(params, 50_000, master_seed=203)
         # one-sided z-test at a comfortable margin
         diff = worsened.y1.mean() - exact.y1.mean()
         se = np.hypot(_se(worsened.y1), _se(exact.y1))
@@ -165,23 +205,21 @@ class TestExactSampler:
         se3 = np.hypot(_se(worsened.y3), _se(exact.y3))
         assert diff3 > 4 * se3
 
-    def test_delivery_is_within_session_by_construction(self):
-        run = simulate_sessions(
-            SchemeParams(64, 4), 50_000, variant=Variant.EXACT, master_seed=204
-        )
+    def test_delivery_is_within_session_by_construction(self, session_columns):
+        args = (SchemeParams(64, 4), 50_000)
+        run = session_columns(*args, variant=Variant.EXACT, master_seed=204)
         assert np.all(run.d <= run.y)
+        assert simulate_sessions(*args, variant="exact", master_seed=204).late_deliveries == 0
 
     def test_scalar_matches_batch_row(self, fills, monkeypatch):
-        # Session 0, the first row of the second 4-row chunk and the last one.
+        # 16 sessions replay bit for bit, in 4-row chunks and one batch.
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(64, 4)
         run = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=5)
         assert [rows for _, rows, _ in fills] == [4, 4, 4, 4]
-        width = _exact_width(params)
-        for s in (0, 4, 15):
-            cols = _exact_kernel(session_stream(5, 0, s, width).random(width)[None, :], params)
-            assert cols["y"][0] == run.y[s]
-            assert cols["z"][0] == run.z[s]
+        _assert_replayed_sums(
+            run, lambda u: _exact_kernel(u, params), _exact_width(params), monkeypatch
+        )
 
 
 class TestCoupledSessions:
@@ -195,7 +233,7 @@ class TestCoupledSessions:
             assert exact.d <= exact.y
             assert worsened.d <= worsened.y
 
-    def test_marginal_means_match_uncoupled(self):
+    def test_marginal_means_match_uncoupled(self, session_columns):
         params = SchemeParams(64, 4)
         stream = make_stream(StreamSpec(302, 0))
         pairs = [sample_coupled_sessions(params, stream) for _ in range(20_000)]
@@ -203,7 +241,7 @@ class TestCoupledSessions:
         e_y1 = np.array([e.y1 for e, _ in pairs])
         pm = phase_moments(params)
         assert abs(w_y1.mean() - pm.e_y1) < 4 * _se(w_y1)
-        uncoupled = simulate_sessions(params, 20_000, variant=Variant.EXACT, master_seed=303)
+        uncoupled = session_columns(params, 20_000, variant=Variant.EXACT, master_seed=303)
         se = np.hypot(_se(e_y1), _se(uncoupled.y1))
         assert abs(e_y1.mean() - uncoupled.y1.mean()) < 4 * se
 
@@ -215,23 +253,23 @@ class TestCoupledSessions:
 class TestWorsenedDelivery:
     """The delivery wait z of the worsened kernel, through the batch engine."""
 
-    def test_m1_is_fresh_exponential(self):
+    def test_m1_is_fresh_exponential(self, session_columns):
         # At m = 1 the tagged packet goes in the only round, so z is its
         # own final hop: Exp(lambda_intra) in both delivery modes.
         params = SchemeParams(8, 1, lambda_intra=2.0)
         for seed, mode in ((401, DeliveryMode.INDEPENDENT), (402, DeliveryMode.COUPLED)):
-            z = simulate_sessions(params, 10_000, delivery=mode, master_seed=seed).z
+            z = session_columns(params, 10_000, delivery=mode, master_seed=seed).z
             assert abs(z.mean() - 0.5) < 4 * _se(z), mode
             assert kstest(z, expon(scale=0.5).cdf).pvalue > 1e-3, mode
 
-    def test_independent_mean_matches_closed_form(self):
+    def test_independent_mean_matches_closed_form(self, session_columns):
         params = SchemeParams(64, 4)
-        z = simulate_sessions(params, 20_000, master_seed=403).z
+        z = session_columns(params, 20_000, master_seed=403).z
         assert abs(z.mean() - phase_moments(params).e_z) < 4 * _se(z)
 
-    def test_coupled_never_exceeds_remaining_rounds(self):
+    def test_coupled_never_exceeds_remaining_rounds(self, session_columns):
         params = SchemeParams(64, 4)
-        run = simulate_sessions(params, 10_000, delivery=DeliveryMode.COUPLED, master_seed=404)
+        run = session_columns(params, 10_000, delivery=DeliveryMode.COUPLED, master_seed=404)
         assert np.all(run.z <= run.y3)
         assert np.all(run.d <= run.y)
 
@@ -249,10 +287,10 @@ class TestPhaseTwo:
     @pytest.mark.parametrize(
         "n, m, seed", [(64, 4, 417), (1024, 8, 418), (16384, 8, 413), (2**20, 32, 414)]
     )
-    def test_gamma_path_moments_match_closed_forms(self, n, m, seed):
+    def test_gamma_path_moments_match_closed_forms(self, n, m, seed, session_columns):
         params = SchemeParams(n, m)
         assert _phase_two_width(params) == m
-        run = simulate_sessions(params, 100_000, master_seed=seed)
+        run = session_columns(params, 100_000, master_seed=seed)
         pm = phase_moments(params)
         for arr, expected in ((run.y2, pm.e_y2), (run.y2**2, pm.e_y2_sq)):
             assert abs(arr.mean() - expected) < 4 * _se(arr)
@@ -270,7 +308,7 @@ class TestPhaseTwo:
         assert _exact_width(SchemeParams(4096, 8)) == 4096 + 8 + 4096 + 1
 
     def test_gamma_path_sessions_replay(self, monkeypatch):
-        # 96 sessions make 3 batches of 32; 4-row chunks start at session 32.
+        # 96 sessions make 3 batches of 32 in 4-row chunks.
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         params = SchemeParams(4096, 8)
         cases = [(Variant.WORSENED, mode) for mode in DeliveryMode]
@@ -280,18 +318,15 @@ class TestPhaseTwo:
                 base_stream_index=2,
             )
             assert [s.count for s in run.batch_summaries] == [32, 32, 32]
-            for s in (0, 32, 95):
-                if variant == Variant.WORSENED:
-                    width = _worsened_width(params)
-                    u = session_stream(415, 2, s, width).random(width)[None, :]
-                    cols = _worsened_kernel(u, params, mode)
-                else:
-                    width = _exact_width(params)
-                    u = session_stream(415, 2, s, width).random(width)[None, :]
-                    cols = _exact_kernel(u, params)
-                assert cols["y2"][0] == run.y2[s]
-                assert cols["y"][0] == run.y[s]
-                assert cols["d"][0] == run.d[s]
+            if variant == Variant.WORSENED:
+                _assert_replayed_sums(
+                    run, lambda u: _worsened_kernel(u, params, mode), _worsened_width(params),
+                    monkeypatch,
+                )
+            else:
+                _assert_replayed_sums(
+                    run, lambda u: _exact_kernel(u, params), _exact_width(params), monkeypatch
+                )
 
     def test_coupled_sessions_keep_pathwise_bounds(self):
         params = SchemeParams(4096, 8)
@@ -310,10 +345,11 @@ class TestMomentSummary:
         rng = np.random.default_rng(0)
         y = rng.exponential(size=1000)
         d = rng.exponential(size=1000)
-        merged = MomentSummary.from_arrays(y[:400], d[:400]).merge(
-            MomentSummary.from_arrays(y[400:], d[400:])
-        )
-        full = MomentSummary.from_arrays(y, d)
+        def summary(y, d):
+            return MomentSummary(y.size, y.sum(), (y * y).sum(), d.sum())
+
+        merged = summary(y[:400], d[:400]).merge(summary(y[400:], d[400:]))
+        full = summary(y, d)
         assert merged.count == full.count
         for field in ("sum_y", "sum_y_sq", "sum_d"):
             assert getattr(merged, field) == pytest.approx(getattr(full, field), rel=1e-12)
@@ -336,7 +372,7 @@ class TestMomentSummary:
             fills.clear()
             run = simulate_sessions(params, 20_000, master_seed=9, workers=workers)
             assert len(fills) == 10
-            totals.append(run.total_summary())
+            totals.append((run.total_summary(), run.segment_sums))
         assert totals[0] == totals[1] == totals[2]
 
     def test_tree_merge_empty(self):
@@ -380,12 +416,38 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_age_moment_formula([MomentSummary(1, 1.0, 1.0, 1.0)])
 
-    def test_timeline_on_deterministic_sessions(self):
+    def test_timeline_on_deterministic_sessions(self, monkeypatch):
+        # Constant sessions through the batch engine, in 4-row chunks too.
         y0, d0 = 2.0, 0.75
-        sessions = SimpleNamespace(y=np.full(100, y0), d=np.full(100, d0))
-        est = integrate_age_timeline(sessions)
-        assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-12)
-        assert est.method == "timeline"
+        for budget in (scheme._CHUNK_UNIFORMS, 1):
+            monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
+            est = integrate_age_timeline(_constant_run(100, y0, d0))
+            assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-12)
+            assert est.method == "timeline"
+
+    def test_timeline_exact_over_a_million_constant_sessions(self):
+        # Gaps are taken session by session, not as differences of a running
+        # sum of session starts, whose rounding grows with the run.
+        est = integrate_age_timeline(_constant_run(10**6, 0.1, 0.03))
+        assert est.sessions == 10**6
+        assert est.delta_hat == pytest.approx(0.03 + 0.1 / 2.0, rel=1e-13, abs=0.0)
+
+    def test_timeline_matches_column_reference(self, session_columns, monkeypatch):
+        # The streamed sums equal the trapezoids of the whole columns, with
+        # segments that cross from each 4-row chunk into the next.
+        params = SchemeParams(64, 4)
+        cols = session_columns(params, 3_000, delivery="coupled", master_seed=14)
+        gaps = np.diff(np.cumsum(cols.y) - cols.y + cols.d)
+        areas = gaps * cols.d[:-1] + 0.5 * gaps * gaps
+        bounds = scheme._batch_bounds(gaps.size)
+        expected = [(areas[a:b].sum(), gaps[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+        for budget in (scheme._CHUNK_UNIFORMS, 1):
+            monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
+            run = simulate_sessions(params, 3_000, delivery="coupled", master_seed=14)
+            assert len(run.segment_sums) == 32
+            np.testing.assert_allclose(run.segment_sums, expected, rtol=1e-12, atol=0.0)
+            est = integrate_age_timeline(run)
+            assert est.delta_hat == pytest.approx(areas.sum() / gaps.sum(), rel=1e-12, abs=0.0)
 
     def test_timeline_agrees_with_moment_formula(self):
         params = SchemeParams(256, 8)
@@ -407,9 +469,13 @@ class TestEstimators:
             assert np.isnan(std_err) if sessions < 65 else std_err > 0, sessions
 
     def test_timeline_rejects_late_deliveries(self):
-        sessions = SimpleNamespace(y=np.array([1.2, 1.2]), d=np.array([2.2, 0.7]))
-        with pytest.raises(ValueError):
-            integrate_age_timeline(sessions)
+        def kernel(u):
+            return {"y": np.array([1.2, 1.2]), "d": np.array([2.2, 0.7])}
+
+        run = scheme._run_batches(kernel, 1, 2, 0, 0, 1)
+        assert run.late_deliveries == 1
+        with pytest.raises(ValueError, match="1 sessions deliver after the session ends"):
+            integrate_age_timeline(run)
 
 
 class TestRoundRobin:
@@ -432,13 +498,13 @@ class TestRoundRobin:
         assert abs(d.mean() - (n + 1) / (2 * rate)) < 4 * _se(d)
 
     @pytest.mark.parametrize("n", [1, 6, 15, 16, 1024])
-    def test_kernel_matches_slot_by_slot_reference_in_law(self, n):
+    def test_kernel_matches_slot_by_slot_reference_in_law(self, n, round_robin_columns):
         # The kernel draws y as one Gamma(n) quantile (from the table at
         # n >= 16) and d = y v; the reference sums n explicit slots.  Compare
         # d, y - d and the ratio d / y, which is independent of y, across
         # 20 000 sessions.
         rate = 1.5
-        run = simulate_round_robin(n, rate, 20_000, master_seed=606 + n)
+        run = round_robin_columns(n, rate, 20_000, master_seed=606 + n)
         assert np.all(run.d <= run.y)
         stream = make_stream(StreamSpec(607 + n, 0))
         d, y = np.array([_reference_round_robin(n, rate, stream) for _ in range(20_000)]).T
@@ -446,25 +512,21 @@ class TestRoundRobin:
         assert ks_2samp(run.y - run.d, y - d).pvalue > 1e-3
         assert ks_2samp(run.d / run.y, d / y).pvalue > 1e-3
 
-    def test_batch_matches_scalar_moments(self):
+    def test_batch_matches_scalar_moments(self, round_robin_columns):
         n, rate = 6, 1.0
-        run = simulate_round_robin(n, rate, 100_000, master_seed=604)
+        run = round_robin_columns(n, rate, 100_000, master_seed=604)
         assert abs(run.y.mean() - n / rate) < 4 * _se(run.y)
         assert abs(run.d.mean() - (n + 1) / (2 * rate)) < 4 * _se(run.d)
         sq = run.y**2
         assert abs(sq.mean() - (n * n + n) / rate**2) < 4 * _se(sq)
 
     def test_batch_rows_replay_from_session_stream(self, monkeypatch):
-        # 96 sessions make 3 batches of 32; 4-row chunks start at session 32.
+        # 96 sessions make 3 batches of 32 in 4-row chunks.
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
         n, rate = 6, 1.0
         run = simulate_round_robin(n, rate, 96, master_seed=605, base_stream_index=1 << 31)
         assert [s.count for s in run.batch_summaries] == [32, 32, 32]
-        for s in (0, 32, 95):
-            u = session_stream(605, 1 << 31, s, 3).random(3)[None, :]
-            cols = _round_robin_kernel(u, n, rate)
-            assert cols["y"][0] == run.y[s]
-            assert cols["d"][0] == run.d[s]
+        _assert_replayed_sums(run, lambda u: _round_robin_kernel(u, n, rate), 3, monkeypatch)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -483,8 +545,8 @@ class TestSimulateSessions:
             simulate_sessions(SchemeParams(8, 2), 0)
 
     def test_rejects_run_past_its_counter_window_before_allocating(self):
-        # 2^40 sessions would need terabytes of columns; the window check
-        # must refuse the run before any of them is allocated.
+        # 2^40 sessions do not fit the counter window; the check must
+        # refuse the run before any chunk is drawn.
         with pytest.raises(ValueError, match="counter ticks"):
             simulate_sessions(SchemeParams(65536, 16), 2**40)
         with pytest.raises(ValueError, match="counter ticks"):
@@ -501,7 +563,7 @@ class TestSimulateSessions:
         assert run.batch_size == 34
         assert estimate_age_moment_formula(run.batch_summaries).std_err > 0
 
-    def test_arrays_bitwise_stable_across_workers(self, fills):
+    def test_sums_bitwise_stable_across_workers(self, fills):
         # (4096, 8) draws phase two from gamma quantiles.  Its worsened runs
         # make 7 and 3 chunks and its exact run 75 chunks of 4 rows, which no
         # worker count above 1 divides; 100 sessions make 33 + 33 + 34.
@@ -527,9 +589,7 @@ class TestSimulateSessions:
             batches.append(len(runs[0].batch_summaries))
             chunks.append(len(fills) // 3)
             for run in runs[1:]:
-                for col in ("y1", "y2", "y3", "z", "d", "y"):
-                    assert np.array_equal(getattr(runs[0], col), getattr(run, col))
-                assert run.batch_summaries == runs[0].batch_summaries
+                _assert_same_run(runs[0], run)
         assert batches == [32, 32, 32, 9, 3, 32]
         assert chunks == [4, 7, 3, 75, 1, 1]
 
@@ -540,7 +600,7 @@ class TestSimulateSessions:
                 simulate_sessions(SchemeParams(64, 4), 1000, workers=workers)
             with pytest.raises(ValueError, match=match):
                 simulate_round_robin(64, 1.0, 1000, workers=workers)
-            # Refused before the columns of 2^40 sessions are allocated.
+            # Refused before the counter window of 2^40 sessions is checked.
             with pytest.raises(ValueError, match=match):
                 simulate_sessions(SchemeParams(65536, 16), 2**40, workers=workers)
 
@@ -562,9 +622,19 @@ def executors(monkeypatch):
 
 
 def _assert_same_run(a, b):
-    for col in scheme._COLUMNS:
-        assert np.array_equal(getattr(a, col), getattr(b, col)), col
     assert a.batch_summaries == b.batch_summaries
+    assert a.segment_sums == b.segment_sums
+    assert a.late_deliveries == b.late_deliveries
+
+
+def _assert_regrouped_run(a, b):
+    """``a`` and ``b`` reduce the same sessions in other chunks: equal counts,
+    and sums that differ only by the grouping of their additions."""
+    assert [s.count for s in a.batch_summaries] == [s.count for s in b.batch_summaries]
+    sums = [[(s.sum_y, s.sum_y_sq, s.sum_d) for s in run.batch_summaries] for run in (a, b)]
+    np.testing.assert_allclose(sums[0], sums[1], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(a.segment_sums, b.segment_sums, rtol=1e-12, atol=0.0)
+    assert a.late_deliveries == b.late_deliveries
 
 
 class TestBatchWorkers:
@@ -584,7 +654,7 @@ class TestBatchWorkers:
         # Bounded by the chunks (2), by the 3 CPUs (500 chunks), by the chunks (2).
         assert executors == [2, 3, 2]
         _assert_same_run(serial, two_chunks)
-        _assert_same_run(serial, small_chunks)
+        _assert_regrouped_run(serial, small_chunks)
         assert len(two.batch_summaries) == 1
 
     def test_batch_error_reaches_caller_and_threads_end(self, executors, monkeypatch):
@@ -630,7 +700,7 @@ class TestBatchWorkers:
 
     def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
         # Eight threads on any machine, switching every microsecond: a chunk
-        # writing outside its slice would show.
+        # merged out of order would show.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
         params = SchemeParams(256, 32)
         serial = simulate_sessions(params, 4096, master_seed=6)
@@ -672,6 +742,9 @@ _CHUNK_CASES = {
 class TestChunkPlan:
     @pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
     def test_outputs_identical_across_chunk_plans(self, case, monkeypatch):
+        # Each chunk plan gives the same sums on any worker count.  Chunks
+        # reduce their own rows, so another plan regroups the additions:
+        # its sums move by rounding only.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
         reference = _CHUNK_CASES[case](1)
         counts = [s.count for s in reference.batch_summaries]
@@ -679,10 +752,16 @@ class TestChunkPlan:
             assert counts == [33, 33, 34]
         if case == "exact-wide":  # 9 batches across chunks of 15 rows
             assert counts == [33, 33, 34, 33, 33, 34, 33, 33, 34]
-        for budget in (1, scheme._CHUNK_UNIFORMS, 2**40):
+        default = scheme._CHUNK_UNIFORMS
+        for budget in (1, default, 2**40):
             monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
-            for workers in (1, 2, 4):
-                _assert_same_run(reference, _CHUNK_CASES[case](workers))
+            plan = _CHUNK_CASES[case](1)
+            for workers in (2, 4):
+                _assert_same_run(plan, _CHUNK_CASES[case](workers))
+            if budget == default:
+                _assert_same_run(reference, plan)
+            else:
+                _assert_regrouped_run(reference, plan)
 
     @pytest.mark.parametrize("case", ["exact-wide", "quarter-4096", "round-robin", "remainder"])
     def test_chunks_cover_whole_batches_within_budget(self, case, fills, monkeypatch):
