@@ -34,7 +34,6 @@ from .scheme import (
     Variant,
     estimate_age_moment_formula,
     integrate_age_timeline,
-    merge_summaries,
     sample_coupled_sessions,
     simulate_round_robin,
     simulate_sessions,
@@ -59,7 +58,6 @@ __all__ = [
     "harmonic",
     "integrate_age_timeline",
     "make_stream",
-    "merge_summaries",
     "order_stat_moments",
     "phase_moments",
     "sample_coupled_sessions",

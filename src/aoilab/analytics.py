@@ -116,18 +116,17 @@ def phase_moments(params: SchemeParams) -> PhaseMoments:
     The delivery wait z is a uniform number of full phase-three rounds plus
     one fresh in-cell delay.
     """
-    n, m = params.n, params.m
-    lam = params.lambda_intra
-    lam_t = params.lambda_inter
-    cells = params.cells
+    n, m, cells = params.n, params.m, params.cells
+    return _phase_moments(
+        n, m, params.lambda_intra, params.lambda_inter,
+        harmonic(n), harmonic(m), harmonic(cells),
+        gen_harmonic(n), gen_harmonic(m), gen_harmonic(cells),
+    )
 
-    h_n = harmonic(n)
-    h_m = harmonic(m)
-    h_c = harmonic(cells)
-    g_n = gen_harmonic(n)
-    g_m = gen_harmonic(m)
-    g_c = gen_harmonic(cells)
 
+def _phase_moments(n, m, lam, lam_t, h_n, h_m, h_c, g_n, g_m, g_c) -> PhaseMoments:
+    """The algebra of :func:`phase_moments` in ``n``, ``m`` (not necessarily
+    an integer), the rates and the sums H_n, H_m, H_{n/m}, G_n, G_m, G_{n/m}."""
     e_y1 = m / lam * h_n
     e_y2 = n / (m**3 * lam_t) * h_m
     e_y3 = m / lam * h_c
@@ -180,7 +179,10 @@ def closed_form_age(params: SchemeParams) -> AgeBreakdown:
     total = E[Y_1] + E[Y_2] + E[Z] + E[Y^2] / (2 E[Y]) with the phase
     moments of :func:`phase_moments`.
     """
-    pm = phase_moments(params)
+    return _age_breakdown(phase_moments(params))
+
+
+def _age_breakdown(pm: PhaseMoments) -> AgeBreakdown:
     half_denom = 2.0 * pm.e_y
     cross = 2.0 * (pm.e_y1 * pm.e_y2 + pm.e_y1 * pm.e_y3 + pm.e_y2 * pm.e_y3)
     terms = (
@@ -217,32 +219,13 @@ def asymptotic_age(
         raise ValueError(f"b must lie in (0, 1], got {b}")
     if not lambda_intra > 0 or not lambda_inter > 0:
         raise ValueError("rates must be > 0")
-    lam, lam_t = lambda_intra, lambda_inter
     log_n = math.log(n)
-    nb = float(n) ** b
     z = PI_SQ_OVER_6
-
-    e_y = (
-        nb / lam * log_n
-        + n / (nb**3 * lam_t) * b * log_n
-        + nb / lam * (1.0 - b) * log_n
+    pm = _phase_moments(
+        n, float(n) ** b, lambda_intra, lambda_inter,
+        log_n, b * log_n, (1.0 - b) * log_n, z, z, z,
     )
-    t1 = nb / lam * log_n
-    t2 = n / (nb**3 * lam_t) * b * log_n
-    t3 = (nb - 1.0) / (2.0 * lam) * (1.0 - b) * log_n
-    t4 = 1.0 / lam
-    t5 = (nb**2 / lam**2 * log_n**2 + nb / lam**2 * z) / (2.0 * e_y)
-    t6 = (
-        n**2 / (nb**6 * lam_t**2) * b * b * log_n**2
-        + n / (nb**5 * lam_t**2) * z
-    ) / (2.0 * e_y)
-    t7 = (nb**2 / lam**2 * (1.0 - b) ** 2 * log_n**2 + nb / lam**2 * z) / (2.0 * e_y)
-    t8 = (
-        n / (nb**2 * lam * lam_t) * b * log_n**2
-        + nb**2 / lam**2 * (1.0 - b) * log_n**2
-    ) / e_y
-    t9 = (n / (nb**2 * lam * lam_t) * b * (1.0 - b) * log_n**2) / e_y
-    return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9
+    return _age_breakdown(pm).total
 
 
 def scaling_exponent(b: float) -> float:

@@ -161,32 +161,35 @@ def load_sweep_config(path) -> SweepConfig:
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    return SweepConfig(**_coerce_config(raw))
+    return SweepConfig(**_coerce_config(raw, path))
 
 
-def _coerce_config(raw: dict) -> dict:
+def _coerce_config(raw: dict, path) -> dict:
     out: dict = {}
     for key, value in raw.items():
-        if key == "n_grid":
-            if isinstance(value, str):
-                value = [v for v in value.replace(",", " ").split() if v]
-            out[key] = tuple(int(v) for v in value)
-        elif key in ("b", "lambda_intra", "lambda_inter"):
-            out[key] = float(value)
-        elif key in ("sessions", "master_seed"):
-            out[key] = int(value)
-        elif key == "variant":
-            out[key] = Variant(value)
-        elif key == "delivery_mode":
-            out[key] = DeliveryMode(value)
-        elif key == "baseline":
-            if isinstance(value, str):
-                lowered = value.lower()
-                if lowered not in ("true", "false", "0", "1"):
-                    raise ValueError(f"baseline must be true/false, got {value!r}")
-                out[key] = lowered in ("true", "1")
-            else:
-                out[key] = bool(value)
+        try:
+            if key == "n_grid":
+                if isinstance(value, str):
+                    value = [v for v in value.replace(",", " ").split() if v]
+                out[key] = tuple(int(v) for v in value)
+            elif key in ("b", "lambda_intra", "lambda_inter"):
+                out[key] = float(value)
+            elif key in ("sessions", "master_seed"):
+                out[key] = int(value)
+            elif key == "variant":
+                out[key] = Variant(value)
+            elif key == "delivery_mode":
+                out[key] = DeliveryMode(value)
+            elif key == "baseline":
+                if isinstance(value, str):
+                    lowered = value.lower()
+                    if lowered not in ("true", "false", "0", "1"):
+                        raise ValueError(f"expected true/false, got {value!r}")
+                    out[key] = lowered in ("true", "1")
+                else:
+                    out[key] = bool(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {path}: bad value for {key!r}: {exc}") from exc
     return out
 
 
@@ -496,25 +499,29 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    inline = [args.n_grid, args.b, args.sessions]
+    inline = {  # flag: (SweepConfig field, value; None when the flag is not given)
+        "--n-grid": ("n_grid", args.n_grid),
+        "--b": ("b", args.b),
+        "--sessions": ("sessions", args.sessions),
+        "--seed": ("master_seed", args.seed),
+        "--variant": ("variant", args.variant),
+        "--delivery": ("delivery_mode", args.delivery),
+        "--baseline": ("baseline", args.baseline),
+        "--lambda-intra": ("lambda_intra", args.lambda_intra),
+        "--lambda-inter": ("lambda_inter", args.lambda_inter),
+    }
+    given = [flag for flag, (_, value) in inline.items() if value is not None]
     if args.config is not None:
-        if any(v is not None for v in inline):
-            raise CliUsageError("--config cannot be combined with inline sweep flags")
+        if given:
+            flags = ", ".join(given)
+            raise CliUsageError(f"--config cannot be combined with inline sweep flags ({flags})")
         config = load_sweep_config(args.config)
     else:
         if args.n_grid is None:
             raise CliUsageError("either --config or --n-grid is required")
-        config = SweepConfig(
-            n_grid=tuple(int(v) for v in args.n_grid.replace(",", " ").split()),
-            b=args.b if args.b is not None else 0.25,
-            lambda_intra=args.lambda_intra,
-            lambda_inter=args.lambda_inter,
-            sessions=args.sessions if args.sessions is not None else 100_000,
-            master_seed=args.seed,
-            variant=Variant(args.variant),
-            delivery_mode=DeliveryMode(args.delivery),
-            baseline=args.baseline,
-        )
+        values = dict(inline[flag] for flag in given)
+        values["n_grid"] = tuple(int(v) for v in args.n_grid.replace(",", " ").split())
+        config = SweepConfig(**values)
     rows = run_sweep(config, workers=args.workers, timing=not args.no_timing)
     fits = []
     for column in ("delta_analytic", "delta_sim", "delta_baseline"):
@@ -604,14 +611,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scaling sweep over an n grid")
     p.add_argument("--config", default=None, help="JSON or key=value config file")
+    # Inline sweep flags default to None, so that a config file can refuse
+    # them and SweepConfig fills in the rest.
     p.add_argument("--n-grid", default=None, help="comma-separated n values")
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--lambda-intra", type=float, default=1.0, dest="lambda_intra")
-    p.add_argument("--lambda-inter", type=float, default=1.0, dest="lambda_inter")
+    p.add_argument("--lambda-intra", type=float, default=None, dest="lambda_intra")
+    p.add_argument("--lambda-inter", type=float, default=None, dest="lambda_inter")
     p.add_argument("--sessions", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     _add_draw_flags(p)
-    p.add_argument("--baseline", action="store_true", help="also run the turn-taking baseline")
+    p.add_argument(
+        "--baseline", action="store_true", default=None,
+        help="also run the turn-taking baseline",
+    )
+    p.set_defaults(variant=None, delivery=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timing", action="store_true", help="omit wall times (byte-stable output)")

@@ -29,7 +29,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -74,40 +74,18 @@ class SessionSample:
     y: float
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """Streaming sums of Y, Y^2 and D: all the moment estimator reads."""
+class MomentSummary(NamedTuple):
+    """One batch's sums, all that both age estimators read: Y, Y^2 and D
+    over its sessions, and the sawtooth age's ``area`` and ``elapsed`` time
+    over the segments they start (segment ``j`` runs from delivery ``j`` to
+    delivery ``j + 1``; the run's last session starts none)."""
 
     count: int = 0
     sum_y: float = 0.0
     sum_y_sq: float = 0.0
     sum_d: float = 0.0
-
-    def merge(self, other: "MomentSummary") -> "MomentSummary":
-        return MomentSummary(
-            count=self.count + other.count,
-            sum_y=self.sum_y + other.sum_y,
-            sum_y_sq=self.sum_y_sq + other.sum_y_sq,
-            sum_d=self.sum_d + other.sum_d,
-        )
-
-
-def merge_summaries(parts: Sequence[MomentSummary]) -> MomentSummary:
-    """Pairwise-tree merge in input order.
-
-    The tree shape depends only on ``len(parts)``, so the result is
-    bit-stable however the parts were computed.
-    """
-    items = list(parts)
-    if not items:
-        return MomentSummary()
-    while len(items) > 1:
-        nxt = [
-            items[i].merge(items[i + 1]) if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-        items = nxt
-    return items[0]
+    area: float = 0.0
+    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -125,28 +103,20 @@ class SimulationRun:
     ``batch_summaries[i]`` covers sessions ``[b[i], b[i+1])`` with
     ``b = _batch_bounds(sessions)``: at most 32 consecutive batches whose
     sizes differ by at most 1, each of at least 32 sessions unless the run
-    is a single batch.  ``segment_sums[i]`` is the ``(area, elapsed)`` of
-    the sawtooth age over segments ``[c[i], c[i+1])`` with
-    ``c = _batch_bounds(sessions - 1)``, where segment ``j`` runs from the
-    delivery of session ``j`` to that of session ``j + 1`` (see
-    :func:`integrate_age_timeline`).  ``late_deliveries`` counts the
-    sessions with ``d > y``.
+    is a single batch.  ``late_deliveries`` counts the sessions with
+    ``d > y``.
     """
 
     master_seed: int
     base_stream_index: int
     sessions: int
     batch_summaries: list[MomentSummary] = field(repr=False)
-    segment_sums: list[tuple[float, float]] = field(repr=False)
     late_deliveries: int
 
     @property
     def batch_size(self) -> int:
         """Sessions in the largest batch."""
         return max(s.count for s in self.batch_summaries)
-
-    def total_summary(self) -> MomentSummary:
-        return merge_summaries(self.batch_summaries)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +380,8 @@ def _batch_bounds(count: int) -> list[int]:
 
 def _chunk_sums(y: np.ndarray, d: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
     """Sums of ``Y``, ``Y^2``, ``D``, the segment areas and the segment lengths
-    over the pieces of one chunk's rows that start at ``cuts``.
+    over the pieces of one chunk's rows that start at ``cuts``, one row a
+    piece: the last five fields of :class:`MomentSummary`.
 
     Segment ``i`` runs from delivery ``i`` to delivery ``i + 1``: its
     length is ``(y_i - d_i) + d_{i+1}``, taken locally so that no error
@@ -427,7 +398,7 @@ def _chunk_sums(y: np.ndarray, d: np.ndarray, cuts: Sequence[int]) -> np.ndarray
     gaps[-1] = 0.0
     np.multiply(gaps, d, out=areas)
     areas += 0.5 * gaps * gaps
-    return np.add.reduceat(terms, cuts, axis=1)
+    return np.add.reduceat(terms, cuts, axis=1).T
 
 
 def _run_batches(
@@ -444,15 +415,15 @@ def _run_batches(
     uniforms fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
     Each fills its rows with one call, runs the kernel once and reduces its
     ``y`` and ``d`` columns at once into sums over the pieces it shares
-    with the batches of :func:`_batch_bounds` (sessions for the moments,
-    segments between deliveries for the timeline); its columns are then
+    with the batches of :func:`_batch_bounds`; its columns are then
     dropped.  Chunks run on up to ``workers`` threads of this process (the
     fill and the kernels release the GIL), or inline on the caller's thread
     when only one would run.  The caller's thread adds the pieces, and the
-    segment that crosses from each chunk into the next, into the batch sums
-    in chunk order.  The chunk plan depends only on ``width`` and
-    ``sessions``, so every sum is the same for any worker count; memory
-    holds a few chunks per thread, whatever the session count.
+    segment that crosses from each chunk into the next (it belongs to the
+    batch of the session that starts it), into the batch sums in chunk
+    order.  The chunk plan depends only on ``width`` and ``sessions``, so
+    every sum is the same for any worker count; memory holds a few chunks
+    per thread, whatever the session count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -461,40 +432,33 @@ def _run_batches(
     stream_window(base_stream_index, sessions, width)  # raises before any work
     rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // (4 * row_ticks(width)))
     chunks = range(0, sessions, rows)
-    session_bounds = _batch_bounds(sessions)
-    segment_bounds = _batch_bounds(sessions - 1)
-    # Every piece lies in one session batch and one segment batch.
-    starts = sorted(set(session_bounds[:-1]) | set(segment_bounds[:-1]))
+    bounds = _batch_bounds(sessions)
 
     def reduce_chunk(lo: int) -> tuple:
         hi = min(lo + rows, sessions)
         cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
         y, d = cols["y"], cols["d"]
-        cuts = [lo, *starts[bisect_right(starts, lo) : bisect_left(starts, hi)]]
+        # Pieces go to consecutive batches, from the batch of row lo on.
+        first = bisect_right(bounds, lo) - 1
+        cuts = [lo, *bounds[first + 1 : bisect_left(bounds, hi)]]
         sums = _chunk_sums(y, d, [c - lo for c in cuts])
-        return lo, cuts, sums, int(np.count_nonzero(d > y)), d[0], y[-1], d[-1]
+        end = (first + len(cuts) - 1, y[-1], d[-1])
+        return first, sums, int(np.count_nonzero(d > y)), d[0], end
 
-    moments = np.zeros((len(session_bounds) - 1, 3))
-    segments = np.zeros((len(segment_bounds) - 1, 2))
+    totals = np.zeros((len(bounds) - 1, 5))
     late = 0
-    last = None  # (y, d) of the previous chunk's last session
-
-    def segment_batch(first: int) -> int:
-        # The last session starts no segment; its piece adds zeros.
-        return min(bisect_right(segment_bounds, first), len(segments)) - 1
+    carry = None  # (batch, y, d) of the previous chunk's last session
 
     def merge(reduced: tuple) -> None:
-        nonlocal late, last
-        lo, cuts, sums, chunk_late, first_d, last_y, last_d = reduced
-        if last is not None:
-            prev_y, prev_d = last
+        nonlocal late, carry
+        first, sums, chunk_late, first_d, end = reduced
+        if carry is not None:
+            batch, prev_y, prev_d = carry
             gap = (prev_y - prev_d) + first_d
-            segments[segment_batch(lo - 1)] += (gap * prev_d + 0.5 * gap * gap, gap)
-        for first, col in zip(cuts, sums.T):
-            moments[bisect_right(session_bounds, first) - 1] += col[:3]
-            segments[segment_batch(first)] += col[3:]
+            totals[batch, 3:] += (gap * prev_d + 0.5 * gap * gap, gap)
+        totals[first : first + len(sums)] += sums
         late += chunk_late
-        last = (last_y, last_d)
+        carry = end
 
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
@@ -516,9 +480,8 @@ def _run_batches(
         sessions=sessions,
         batch_summaries=[
             MomentSummary(b - a, *map(float, sums))
-            for a, b, sums in zip(session_bounds, session_bounds[1:], moments)
+            for a, b, sums in zip(bounds, bounds[1:], totals)
         ],
-        segment_sums=[(float(area), float(gap)) for area, gap in segments],
         late_deliveries=late,
     )
 
@@ -588,63 +551,58 @@ def simulate_round_robin(
 # ---------------------------------------------------------------------------
 
 
+def _batch_means(summaries: Sequence[MomentSummary], ratio: Callable, method: str) -> AgeEstimate:
+    """``ratio`` of the summed fields of ``summaries``, with the batch-means
+    standard error of its per-batch values (NaN for a single batch).
+
+    ``ratio`` takes the six fields of :class:`MomentSummary`, as floats or as
+    arrays over the batches.  Batch means weigh every batch alike, so they
+    need batches of near-equal size, as a run's ``batch_summaries`` are.
+    """
+    sums = np.array(summaries, dtype=float).reshape(-1, len(MomentSummary._fields))
+    total = sums.sum(axis=0)
+    if total[0] < 2:
+        raise ValueError(f"need at least 2 sessions, got {int(total[0])}")
+    std_err = float("nan")
+    if len(sums) >= 2:
+        std_err = float(ratio(*sums.T).std(ddof=1) / np.sqrt(len(sums)))
+    return AgeEstimate(float(ratio(*total)), std_err, method, int(total[0]))
+
+
 def estimate_age_moment_formula(summaries: Sequence[MomentSummary]) -> AgeEstimate:
     """Renewal-reward age estimate: mean(D) + mean(Y^2) / (2 mean(Y)).
 
     ``summaries`` are per-batch summaries; with two or more batches the
     standard error comes from the spread of per-batch estimates (batch
     means), otherwise it is NaN.
-    Batch means weigh every batch alike, so they need batches of equal
-    size; a :class:`SimulationRun`'s ``batch_summaries`` differ by at most
-    one session.
     """
-    batches = [s for s in summaries if s.count > 0]
-    total = merge_summaries(batches)
-    if total.count < 2:
-        raise ValueError(f"need at least 2 sessions, got {total.count}")
 
-    def _delta(s: MomentSummary) -> float:
-        mean_y = s.sum_y / s.count
-        return s.sum_d / s.count + (s.sum_y_sq / s.count) / (2.0 * mean_y)
+    def age(count, sum_y, sum_y_sq, sum_d, area, elapsed):
+        return sum_d / count + (sum_y_sq / count) / (2.0 * (sum_y / count))
 
-    delta = _delta(total)
-    if len(batches) >= 2:
-        per_batch = np.array([_delta(s) for s in batches])
-        std_err = float(per_batch.std(ddof=1) / np.sqrt(len(per_batch)))
-    else:
-        std_err = float("nan")
-    return AgeEstimate(
-        delta_hat=delta, std_err=std_err, method="moment_formula", sessions=total.count
-    )
+    return _batch_means(summaries, age, "moment_formula")
 
 
 def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
     """Direct area integration of the sawtooth age process of ``run``'s
-    sessions, read from its ``segment_sums``.
+    sessions, read from the ``area`` and ``elapsed`` of its batch summaries.
 
     Sessions are laid end to end; update j is generated when session j
     starts and delivered d_j later, dropping the age to d_j.  The exact
     area between consecutive deliveries is a trapezoid.  Requires delivery
     within the session (d <= y, i.e. coupled-style input); otherwise the
     delivery epochs would not be ordered and the sawtooth is ill-defined.
-    The standard error is the batch means of the segments between
-    deliveries, in the batches of :func:`_batch_bounds` (NaN for fewer
-    than 64 segments, which make one batch).
+    The standard error is the batch means over the session batches, each
+    holding the segments its sessions start (NaN for fewer than 64
+    sessions, which make one batch).
     """
-    if run.sessions < 2:
-        raise ValueError(f"need at least 2 sessions, got {run.sessions}")
     if run.late_deliveries:
         raise ValueError(
             f"{run.late_deliveries} sessions deliver after the session ends (d > y); "
             f"timeline integration needs coupled delivery"
         )
-    areas, elapsed = np.array(run.segment_sums).T
-    delta = float(areas.sum() / elapsed.sum())
-    if areas.size >= 2:
-        per_batch = areas / elapsed
-        std_err = float(per_batch.std(ddof=1) / np.sqrt(per_batch.size))
-    else:
-        std_err = float("nan")
-    return AgeEstimate(
-        delta_hat=delta, std_err=std_err, method="timeline", sessions=run.sessions
-    )
+
+    def age(count, sum_y, sum_y_sq, sum_d, area, elapsed):
+        return area / elapsed
+
+    return _batch_means(run.batch_summaries, age, "timeline")

@@ -244,7 +244,49 @@ class TestClosedFormAge:
         assert breakdown.total > pm.e_z + pm.e_y1 + pm.e_y2  # renewal part positive
 
 
+def _asymptotic_age_terms(n, b, lam, lam_t):
+    """The large-n age as nine hand-expanded terms: the delay terms t1..t4
+    and the renewal terms t5..t9 of the closed form, with m = n**b, H_n ->
+    log n, H_m -> b log n, H_{n/m} -> (1-b) log n and every G -> pi^2/6."""
+    log_n = math.log(n)
+    nb = float(n) ** b
+    z = PI_SQ_OVER_6
+    e_y = (
+        nb / lam * log_n
+        + n / (nb**3 * lam_t) * b * log_n
+        + nb / lam * (1.0 - b) * log_n
+    )
+    t1 = nb / lam * log_n
+    t2 = n / (nb**3 * lam_t) * b * log_n
+    t3 = (nb - 1.0) / (2.0 * lam) * (1.0 - b) * log_n
+    t4 = 1.0 / lam
+    t5 = (nb**2 / lam**2 * log_n**2 + nb / lam**2 * z) / (2.0 * e_y)
+    t6 = (
+        n**2 / (nb**6 * lam_t**2) * b * b * log_n**2
+        + n / (nb**5 * lam_t**2) * z
+    ) / (2.0 * e_y)
+    t7 = (nb**2 / lam**2 * (1.0 - b) ** 2 * log_n**2 + nb / lam**2 * z) / (2.0 * e_y)
+    t8 = (
+        n / (nb**2 * lam * lam_t) * b * log_n**2
+        + nb**2 / lam**2 * (1.0 - b) * log_n**2
+    ) / e_y
+    t9 = (n / (nb**2 * lam * lam_t) * b * (1.0 - b) * log_n**2) / e_y
+    return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9
+
+
 class TestAsymptoticAge:
+    def test_matches_hand_expanded_terms(self):
+        # asymptotic_age evaluates the closed form's own algebra at real
+        # m = n**b with the sums substituted; the nine expanded terms are
+        # the same expression, so the two agree to rounding.
+        for n in (2, 3, 7, 64, 1000, 4096, 2**16, 2**20, *(10**k for k in range(7, 31))):
+            for b in (k / 20 for k in range(1, 21)):
+                for lam in (0.5, 1.0, 3.0):
+                    for lam_t in (0.5, 1.0, 3.0):
+                        expected = _asymptotic_age_terms(n, b, lam, lam_t)
+                        got = asymptotic_age(n, b, lam, lam_t)
+                        assert got == pytest.approx(expected, rel=1e-15, abs=0.0), (n, b, lam)
+
     def test_scale_invariance(self):
         base = asymptotic_age(10**4, 0.5, 1.0, 1.0)
         for c in (0.5, 3.0):

@@ -123,6 +123,19 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="unknown keys"):
             load_sweep_config(path)
 
+    @pytest.mark.parametrize(
+        "text", ['{"n_grid": 64, "sessions": 1000}', '{"n_grid": [64], "sessions": null}']
+    )
+    def test_wrongly_typed_json_values_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(text)
+        key = "n_grid" if '"n_grid": 64' in text else "sessions"
+        with pytest.raises(ValueError, match=f"config {path}: bad value for '{key}'"):
+            load_sweep_config(path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"bad value for '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_equivalent_json_and_key_value(self, tmp_path):
         j = tmp_path / "a.json"
         j.write_text('{"n_grid": [64], "sessions": 1500, "b": 0.5}')
@@ -494,6 +507,37 @@ class TestCli:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"n_grid": [64]}')
         assert main(["sweep", "--config", str(cfg), "--n-grid", "64", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--b", "0.5"], ["--sessions", "2000"], ["--variant", "exact"],
+            ["--delivery", "coupled"], ["--delivery", "paper"], ["--seed", "5"],
+            ["--seed", "0"], ["--baseline"], ["--lambda-intra", "2"],
+            ["--lambda-inter", "2"],
+        ],
+    )
+    def test_sweep_config_refuses_each_inline_flag(self, flag, tmp_path, capsys):
+        # A config file sets the whole sweep; a flag beside it would be dropped.
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_grid": [64, 256, 1024], "sessions": 1000}')
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), *flag, "--out", str(out)]) == 1
+        assert f"({flag[0]})" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_config_combines_with_run_flags(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_grid": [64, 256, 1024], "sessions": 1000, "variant": "exact"}')
+        args = ["--n-grid", "64,256,1024", "--sessions", "1000", "--variant", "exact"]
+        outputs = []
+        for source in (["--config", str(cfg)], args):
+            out = tmp_path / f"o{len(outputs)}"
+            assert main(["sweep", *source, "--workers", "2", "--no-timing", "--out", str(out)]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        # The exact variant fills delta_timeline.
+        assert all(row.delta_timeline is not None for row in read_rows_csv(out / "sweep.csv"))
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

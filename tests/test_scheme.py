@@ -20,7 +20,6 @@ from aoilab import (
     harmonic,
     integrate_age_timeline,
     make_stream,
-    merge_summaries,
     phase_moments,
     sample_coupled_sessions,
     simulate_round_robin,
@@ -341,42 +340,22 @@ class TestPhaseTwo:
 
 
 class TestMomentSummary:
-    def test_merge_matches_concatenation(self):
-        rng = np.random.default_rng(0)
-        y = rng.exponential(size=1000)
-        d = rng.exponential(size=1000)
-        def summary(y, d):
-            return MomentSummary(y.size, y.sum(), (y * y).sum(), d.sum())
-
-        merged = summary(y[:400], d[:400]).merge(summary(y[400:], d[400:]))
-        full = summary(y, d)
-        assert merged.count == full.count
-        for field in ("sum_y", "sum_y_sq", "sum_d"):
-            assert getattr(merged, field) == pytest.approx(getattr(full, field), rel=1e-12)
-
-    def test_merge_commutative_and_associative(self):
-        a = MomentSummary(10, 1.0, 2.0, 3.0)
+    def test_summaries_stack_into_one_array(self):
+        a = MomentSummary(10, 1.0, 2.0, 3.0, 4.0, 5.0)
         b = MomentSummary(20, 1.5, 2.5, 3.5)
-        c = MomentSummary(30, 0.5, 0.25, 0.75)
-        assert a.merge(b) == b.merge(a)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        for field in ("sum_y", "sum_y_sq", "sum_d"):
-            assert getattr(left, field) == pytest.approx(getattr(right, field), rel=1e-12)
+        sums = np.array([a, b], dtype=float)
+        assert sums.shape == (2, 6)
+        assert sums.sum(axis=0).tolist() == [30, 2.5, 4.5, 6.5, 4.0, 5.0]
 
     def test_bit_identical_across_worker_counts(self, fills):
         # 20 000 rows of 16 padded uniforms make 10 chunks of up to 2048.
         params = SchemeParams(64, 4)
-        totals = []
+        runs = []
         for workers in (1, 4, 16):
             fills.clear()
-            run = simulate_sessions(params, 20_000, master_seed=9, workers=workers)
+            runs.append(simulate_sessions(params, 20_000, master_seed=9, workers=workers))
             assert len(fills) == 10
-            totals.append((run.total_summary(), run.segment_sums))
-        assert totals[0] == totals[1] == totals[2]
-
-    def test_tree_merge_empty(self):
-        assert merge_summaries([]) == MomentSummary()
+        assert runs[0].batch_summaries == runs[1].batch_summaries == runs[2].batch_summaries
 
 
 class TestEstimators:
@@ -433,19 +412,23 @@ class TestEstimators:
         assert est.delta_hat == pytest.approx(0.03 + 0.1 / 2.0, rel=1e-13, abs=0.0)
 
     def test_timeline_matches_column_reference(self, session_columns, monkeypatch):
-        # The streamed sums equal the trapezoids of the whole columns, with
-        # segments that cross from each 4-row chunk into the next.
+        # The streamed sums equal those of the whole columns, with segments
+        # that cross from each 4-row chunk into the next: segment j, from
+        # delivery j to delivery j + 1, lies in session j's batch.
         params = SchemeParams(64, 4)
         cols = session_columns(params, 3_000, delivery="coupled", master_seed=14)
         gaps = np.diff(np.cumsum(cols.y) - cols.y + cols.d)
         areas = gaps * cols.d[:-1] + 0.5 * gaps * gaps
-        bounds = scheme._batch_bounds(gaps.size)
-        expected = [(areas[a:b].sum(), gaps[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+        terms = np.array([cols.y, cols.y**2, cols.d, np.append(areas, 0.0), np.append(gaps, 0.0)])
+        bounds = scheme._batch_bounds(3_000)
+        expected = [
+            (b - a, *terms[:, a:b].sum(axis=1)) for a, b in zip(bounds, bounds[1:])
+        ]
         for budget in (scheme._CHUNK_UNIFORMS, 1):
             monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
             run = simulate_sessions(params, 3_000, delivery="coupled", master_seed=14)
-            assert len(run.segment_sums) == 32
-            np.testing.assert_allclose(run.segment_sums, expected, rtol=1e-12, atol=0.0)
+            assert len(run.batch_summaries) == 32
+            np.testing.assert_allclose(run.batch_summaries, expected, rtol=1e-12, atol=0.0)
             est = integrate_age_timeline(run)
             assert est.delta_hat == pytest.approx(areas.sum() / gaps.sum(), rel=1e-12, abs=0.0)
 
@@ -461,12 +444,23 @@ class TestEstimators:
         assert timeline.std_err > 0
 
     def test_timeline_std_err_needs_two_batches_of_segments(self):
-        # n sessions make n - 1 segments between deliveries; 64 make 2 batches.
+        # Segments share the session batches; 64 sessions make 2 batches.
         params = SchemeParams(64, 4)
-        for sessions in (2, 64, 65, 1000):
+        for sessions in (2, 63, 64, 1000):
             run = simulate_sessions(params, sessions, delivery="coupled", master_seed=13)
             std_err = integrate_age_timeline(run).std_err
-            assert np.isnan(std_err) if sessions < 65 else std_err > 0, sessions
+            assert np.isnan(std_err) if sessions < 64 else std_err > 0, sessions
+
+    def test_timeline_std_err_finite_at_64_sessions(self):
+        # Two batches of 32 sessions: the first holds 32 segments, the second
+        # 31, as the last session starts none.
+        y0, d0 = 2.0, 0.75
+        run = _constant_run(64, y0, d0)
+        assert [s.count for s in run.batch_summaries] == [32, 32]
+        assert [s.elapsed for s in run.batch_summaries] == [32 * y0, 31 * y0]
+        est = integrate_age_timeline(run)
+        assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-14)
+        assert np.isfinite(est.std_err)
 
     def test_timeline_rejects_late_deliveries(self):
         def kernel(u):
@@ -623,7 +617,6 @@ def executors(monkeypatch):
 
 def _assert_same_run(a, b):
     assert a.batch_summaries == b.batch_summaries
-    assert a.segment_sums == b.segment_sums
     assert a.late_deliveries == b.late_deliveries
 
 
@@ -631,9 +624,7 @@ def _assert_regrouped_run(a, b):
     """``a`` and ``b`` reduce the same sessions in other chunks: equal counts,
     and sums that differ only by the grouping of their additions."""
     assert [s.count for s in a.batch_summaries] == [s.count for s in b.batch_summaries]
-    sums = [[(s.sum_y, s.sum_y_sq, s.sum_d) for s in run.batch_summaries] for run in (a, b)]
-    np.testing.assert_allclose(sums[0], sums[1], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(a.segment_sums, b.segment_sums, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(a.batch_summaries, b.batch_summaries, rtol=1e-12, atol=0.0)
     assert a.late_deliveries == b.late_deliveries
 
 
