@@ -17,9 +17,10 @@ import csv
 import json
 import logging
 import math
+import numbers
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -103,8 +104,52 @@ def divisor_adjusted_m(n: int, target: float) -> int | None:
     return min(d for d in dist if dist[d] <= best + _DIVISOR_TIE_TOL)
 
 
+def _integer(value) -> int:
+    # A JSON file may write 100000 as 1e5, so an integral float counts; a bool does not.
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integers(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(map(_integer, value))
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# SweepConfig field -> its type: the value as stored, or an error saying what is wrong.
+_FIELD_TYPES = {
+    "n_grid": _integers,
+    "b": _real,
+    "lambda_intra": _real,
+    "lambda_inter": _real,
+    "sessions": _integer,
+    "master_seed": _integer,
+    "variant": Variant,
+    "delivery_mode": DeliveryMode,
+    "baseline": _flag,
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep.  Integer fields also take integral floats (``1e5``); a value
+    not of its field's type raises ``ValueError("bad value for '<field>': ...")``."""
+
     n_grid: tuple[int, ...]
     b: float = 0.25
     lambda_intra: float = 1.0
@@ -116,8 +161,13 @@ class SweepConfig:
     baseline: bool = False
 
     def __post_init__(self) -> None:
-        grid = tuple(int(v) for v in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
+        for f in fields(self):
+            try:
+                value = _FIELD_TYPES[f.name](getattr(self, f.name))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"bad value for {f.name!r}: {exc}") from None
+            object.__setattr__(self, f.name, value)
+        grid = self.n_grid
         if not grid:
             raise ValueError("n_grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -133,64 +183,25 @@ class SweepConfig:
             raise ValueError(f"sessions must be >= 1000, got {self.sessions}")
         if not self.lambda_intra > 0 or not self.lambda_inter > 0:
             raise ValueError("rates must be > 0")
-        object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "delivery_mode", DeliveryMode(self.delivery_mode))
-
-
-_CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}
 
 
 def load_sweep_config(path) -> SweepConfig:
-    """Parse a sweep config file: a JSON object or flat key=value lines."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        raw = json.loads(text)
+    """The sweep in a JSON object keyed by SweepConfig field.
+
+    A file that is not such an object, an unknown or missing key, or a
+    value SweepConfig refuses raises ``ValueError`` starting
+    ``config <path>: ``.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
-            raise ValueError(f"config {path}: expected a JSON object")
-    else:
-        raw = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config {path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    return SweepConfig(**_coerce_config(raw, path))
-
-
-def _coerce_config(raw: dict, path) -> dict:
-    out: dict = {}
-    for key, value in raw.items():
-        try:
-            if key == "n_grid":
-                if isinstance(value, str):
-                    value = [v for v in value.replace(",", " ").split() if v]
-                out[key] = tuple(int(v) for v in value)
-            elif key in ("b", "lambda_intra", "lambda_inter"):
-                out[key] = float(value)
-            elif key in ("sessions", "master_seed"):
-                out[key] = int(value)
-            elif key == "variant":
-                out[key] = Variant(value)
-            elif key == "delivery_mode":
-                out[key] = DeliveryMode(value)
-            elif key == "baseline":
-                if isinstance(value, str):
-                    lowered = value.lower()
-                    if lowered not in ("true", "false", "0", "1"):
-                        raise ValueError(f"expected true/false, got {value!r}")
-                    out[key] = lowered in ("true", "1")
-                else:
-                    out[key] = bool(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config {path}: bad value for {key!r}: {exc}") from exc
-    return out
+            raise ValueError("expected a JSON object")
+        unknown = raw.keys() - _FIELD_TYPES
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        return SweepConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -430,6 +441,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _print_breakdown(params: SchemeParams, breakdown: AgeBreakdown) -> None:
     print(
         f"n={params.n} m={params.m} lambda_intra={params.lambda_intra} "
@@ -519,9 +538,7 @@ def _cmd_sweep(args) -> int:
     else:
         if args.n_grid is None:
             raise CliUsageError("either --config or --n-grid is required")
-        values = dict(inline[flag] for flag in given)
-        values["n_grid"] = tuple(int(v) for v in args.n_grid.replace(",", " ").split())
-        config = SweepConfig(**values)
+        config = SweepConfig(**dict(inline[flag] for flag in given))
     rows = run_sweep(config, workers=args.workers, timing=not args.no_timing)
     fits = []
     for column in ("delta_analytic", "delta_sim", "delta_baseline"):
@@ -540,7 +557,7 @@ def _cmd_topology(args) -> int:
     pairing, rejected = assign_pairs(
         topology, stream, forbid_same_cell=not args.allow_same_cell
     )
-    topology.pairing = pairing
+    topology = replace(topology, pairing=pairing)
     groups = tdma_groups(grid)
 
     all_violations = []
@@ -576,12 +593,7 @@ def _cmd_baseline(args) -> int:
 
 def _add_draw_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=[v.value for v in Variant], default="worsened")
-    p.add_argument(
-        "--delivery",
-        choices=[mode.value for mode in DeliveryMode] + ["paper"],
-        default="independent",
-        help="'paper' is an alias for 'independent'",
-    )
+    p.add_argument("--delivery", choices=[m.value for m in DeliveryMode], default="independent")
 
 
 def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
@@ -610,10 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaling sweep over an n grid")
-    p.add_argument("--config", default=None, help="JSON or key=value config file")
+    p.add_argument("--config", default=None, help="JSON object keyed by SweepConfig field")
     # Inline sweep flags default to None, so that a config file can refuse
     # them and SweepConfig fills in the rest.
-    p.add_argument("--n-grid", default=None, help="comma-separated n values")
+    p.add_argument("--n-grid", type=_int_list, default=None, help="comma-separated n values")
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--lambda-intra", type=float, default=None, dest="lambda_intra")
     p.add_argument("--lambda-inter", type=float, default=None, dest="lambda_inter")
@@ -654,8 +666,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "delivery", None) == "paper":
-            args.delivery = "independent"
         return args.handler(args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

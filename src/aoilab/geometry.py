@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,25 +54,23 @@ class CellGrid:
         return self.cells_per_side * self.cells_per_side
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
     area_side: float
     positions: np.ndarray  # (n, 2)
     grid: CellGrid | None = None
     cell_of: np.ndarray | None = None
     pairing: np.ndarray | None = None
-    # Farthest in-cell pairs, built by the first same_cell_transmissions call.
-    _farthest: _FarthestPairs | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return int(self.positions.shape[0])
 
-    @property
-    def cells_per_side(self) -> int:
-        if self.grid is None:
-            raise ValueError("topology has no cell grid; call with_cells first")
-        return self.grid.cells_per_side
+    @cached_property
+    def _farthest(self) -> _FarthestPairs:
+        # Built by the first same_cell_transmissions call; the topology is
+        # frozen, so its cells and positions cannot change under the table.
+        return _FarthestPairs.build(self.cell_of, self.positions)
 
     def with_cells(self, grid: CellGrid) -> "Topology":
         return replace(self, grid=grid, cell_of=cell_index(grid, self.positions))
@@ -343,8 +342,6 @@ def check_protocol_model(
 class _FarthestPairs:
     """Each shared cell's farthest-apart node pair, for given cells and positions."""
 
-    cell_of: np.ndarray
-    positions: np.ndarray
     cells: np.ndarray  # ascending ids of the cells holding 2+ nodes
     pairs: np.ndarray  # (cells, 2): each one's farthest pair of node ids
 
@@ -381,7 +378,7 @@ class _FarthestPairs:
             cell = np.arange(len(block))
             pairs[block, 0], pairs[block, 1] = members[cell, i], members[cell, j]
             lo = hi
-        return cls(cell_of, positions, sorted_cells[starts], order[pairs])
+        return cls(sorted_cells[starts], order[pairs])
 
 
 def same_cell_transmissions(
@@ -394,20 +391,12 @@ def same_cell_transmissions(
     far pairs, the first in row-major order of the cell's distance matrix
     over ascending node ids.  Cells with fewer than two nodes are skipped.
     The first call finds every cell's pair and keeps the table on the
-    topology; later calls look cells up in it until the topology's
-    ``cell_of`` or ``positions`` is replaced by another array (arrays
-    edited in place are not noticed).
+    topology; later calls look cells up in it (arrays edited in place are
+    not noticed).
     """
     if topology.cell_of is None:
         raise ValueError("topology has no cell assignment")
     table = topology._farthest
-    if (
-        table is None
-        or table.cell_of is not topology.cell_of
-        or table.positions is not topology.positions
-    ):
-        table = _FarthestPairs.build(topology.cell_of, topology.positions)
-        topology._farthest = table
     if not table.cells.size:
         return []
     wanted = np.asarray(cells, dtype=table.cells.dtype)

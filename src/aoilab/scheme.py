@@ -283,8 +283,7 @@ def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
     # The tagged slot is j = 1 + min(floor(n u[:, 0]), n - 1); only j = n matters.
     last = (u[:, 0] * n).astype(np.int64) >= n - 1
     d = y * np.where(last, 1.0, u[:, 1])
-    zeros = np.zeros_like(y)
-    return {"y1": zeros, "y2": zeros, "y3": y, "z": d, "d": d, "y": y}
+    return {"y": y, "d": d}
 
 
 # ---------------------------------------------------------------------------

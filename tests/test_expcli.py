@@ -102,25 +102,18 @@ class TestSweepConfig:
         assert config.n_grid == (64, 256)
         assert config.baseline is True
 
-    def test_key_value_config_file(self, tmp_path):
-        path = tmp_path / "sweep.cfg"
-        path.write_text(
-            "# comment\n"
-            "n_grid=64,256\n"
-            "b=0.25\n"
-            "sessions=2000\n"
-            "master_seed=5\n"
-            "baseline=true\n"
-        )
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"n_grid": [64, 2.56e2], "sessions": 1e5, "master_seed": 7.0}')
         config = load_sweep_config(path)
-        assert config.n_grid == (64, 256)
-        assert config.master_seed == 5
-        assert config.baseline is True
+        assert (config.n_grid, config.sessions, config.master_seed) == ((64, 256), 100_000, 7)
+        assert all(type(v) is int for v in (*config.n_grid, config.sessions, config.master_seed))
+        assert type(SweepConfig(n_grid=(64,), sessions=1e5).sessions) is int
 
     def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "sweep.cfg"
-        path.write_text("n_grid=64\nspeed=11\n")
-        with pytest.raises(ValueError, match="unknown keys"):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"n_grid": [64], "speed": 11}')
+        with pytest.raises(ValueError, match=rf"config {path}: unknown keys \['speed'\]"):
             load_sweep_config(path)
 
     @pytest.mark.parametrize(
@@ -136,12 +129,42 @@ class TestSweepConfig:
         assert f"bad value for '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_equivalent_json_and_key_value(self, tmp_path):
-        j = tmp_path / "a.json"
-        j.write_text('{"n_grid": [64], "sessions": 1500, "b": 0.5}')
-        k = tmp_path / "b.cfg"
-        k.write_text("n_grid=64\nsessions=1500\nb=0.5\n")
-        assert load_sweep_config(j) == load_sweep_config(k)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_grid", [64.9, 256]), ("sessions", 1500.9), ("baseline", 1),
+            ("b", "0.5"), ("master_seed", True), ("n_grid", "64,256"),
+            pytest.param("b", 10**400, id="b-10**400"),  # float() overflows
+        ],
+    )
+    def test_values_of_the_wrong_type_refused(self, key, value, tmp_path, capsys):
+        # No value is truncated or cast: 64.9 is not the grid point 64, nor is 1 a bool.
+        values = {"n_grid": [64, 256], "sessions": 1500, key: value}
+        with pytest.raises(ValueError, match=f"^bad value for '{key}': "):
+            SweepConfig(**values)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config {path}: bad value for '{key}': " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("n_grid=64,256\nsessions=1500\n", "Expecting value"),  # key=value lines
+            ("[64, 256]", "expected a JSON object"),
+            ('{"sessions": 1500}', "missing 1 required positional argument: 'n_grid'"),
+        ],
+    )
+    def test_file_that_is_not_a_sweep_object_exits_2(self, text, reason, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config {path}: " in err and reason in err
+        assert not out.exists()
 
 
 class TestRunSweep:
@@ -448,12 +471,13 @@ class TestCli:
         assert "delta_moment=" in out and "delta_timeline=" in out
         assert "timeline_vs_moment_gap=" in out
 
-    def test_simulate_paper_alias(self, capsys):
+    def test_delivery_takes_only_the_model_names(self, capsys):
         code = main(
             ["simulate", "--n", "16", "--m", "4", "--sessions", "2000",
              "--delivery", "paper", "--seed", "1"]
         )
-        assert code == 0
+        assert code == 1
+        assert "argument --delivery: invalid choice: 'paper'" in capsys.readouterr().err
 
     def test_baseline_command(self, capsys):
         assert main(["baseline", "--n", "4", "--rate", "1.0", "--sessions", "20000"]) == 0
@@ -512,7 +536,7 @@ class TestCli:
         "flag",
         [
             ["--b", "0.5"], ["--sessions", "2000"], ["--variant", "exact"],
-            ["--delivery", "coupled"], ["--delivery", "paper"], ["--seed", "5"],
+            ["--delivery", "coupled"], ["--seed", "5"],
             ["--seed", "0"], ["--baseline"], ["--lambda-intra", "2"],
             ["--lambda-inter", "2"],
         ],
@@ -524,6 +548,15 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), *flag, "--out", str(out)]) == 1
         assert f"({flag[0]})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["64,abc", "64.9,256"])
+    def test_sweep_n_grid_flag_takes_integers(self, grid, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "--n-grid", grid, "--sessions", "1000", "--out", str(out)]) == 1
+        assert f"argument --n-grid: expected comma-separated integers, got '{grid}'" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_sweep_config_combines_with_run_flags(self, tmp_path):

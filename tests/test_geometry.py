@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -590,7 +591,8 @@ class TestProtocolModel:
 
     def test_same_cell_transmissions_follow_replaced_cells_and_positions(self):
         # The farthest-pair table is kept on the topology; re-celled copies,
-        # replaced arrays and hand-built topologies must not see a stale one.
+        # copies with replaced arrays and hand-built topologies must not see
+        # a stale one, and a topology's arrays cannot be swapped under it.
         topo, stream = _topology(n=400, m=4, seed=26)
         coarse = build_cells(400, 16, 1.0)
         everything = list(range(coarse.num_cells))
@@ -610,9 +612,11 @@ class TestProtocolModel:
         check(topo, fine_lists)  # the original keeps its own table
 
         moved = recelled.positions[::-1].copy()
-        recelled.positions = moved
+        with pytest.raises(FrozenInstanceError):
+            recelled.positions = moved
+        recelled = replace(recelled, positions=moved)
         check(recelled, cell_lists)
-        recelled.cell_of = cell_index(coarse, moved)
+        recelled = replace(recelled, cell_of=cell_index(coarse, moved))
         check(recelled, cell_lists)
 
         # Built directly, as _labelled builds one, but with distinct positions.
@@ -634,7 +638,7 @@ class TestTopologyCsv:
     def test_round_trip(self, tmp_path, read_topology_csv):
         topo, stream = _topology(seed=10)
         pairing, _ = assign_pairs(topo, stream)
-        topo.pairing = pairing
+        topo = replace(topo, pairing=pairing)
         path = tmp_path / "topology.csv"
         write_topology_csv(topo, path)
         loaded = read_topology_csv(path, area_side=topo.area_side, grid=topo.grid)
