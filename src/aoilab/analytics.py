@@ -126,35 +126,37 @@ def phase_moments(params: SchemeParams) -> PhaseMoments:
 
 def _phase_moments(n, m, lam, lam_t, h_n, h_m, h_c, g_n, g_m, g_c) -> PhaseMoments:
     """The algebra of :func:`phase_moments` in ``n``, ``m`` (not necessarily
-    an integer), the rates and the sums H_n, H_m, H_{n/m}, G_n, G_m, G_{n/m}."""
-    e_y1 = m / lam * h_n
-    e_y2 = n / (m**3 * lam_t) * h_m
-    e_y3 = m / lam * h_c
+    an integer), the rates and the sums H_n, H_m, H_{n/m}, G_n, G_m, G_{n/m}.
 
-    e_y1_sq = m**2 / lam**2 * h_n**2 + m / lam**2 * g_n
-    e_y2_sq = n**2 / (m**6 * lam_t**2) * h_m**2 + n / (m**5 * lam_t**2) * g_m
-    e_y3_sq = m**2 / lam**2 * h_c**2 + m / lam**2 * g_c
+    Raises ValueError naming both rates when a moment leaves the float64 range.
+    """
+    try:
+        e_y1 = m / lam * h_n
+        e_y2 = n / (m**3 * lam_t) * h_m
+        e_y3 = m / lam * h_c
 
-    e_z = (m - 1) / (2.0 * lam) * h_c + 1.0 / lam
+        e_y1_sq = m**2 / lam**2 * h_n**2 + m / lam**2 * g_n
+        e_y2_sq = n**2 / (m**6 * lam_t**2) * h_m**2 + n / (m**5 * lam_t**2) * g_m
+        e_y3_sq = m**2 / lam**2 * h_c**2 + m / lam**2 * g_c
 
-    e_y = e_y1 + e_y2 + e_y3
-    e_y_sq = (
-        e_y1_sq
-        + e_y2_sq
-        + e_y3_sq
-        + 2.0 * (e_y1 * e_y2 + e_y1 * e_y3 + e_y2 * e_y3)
-    )
-    return PhaseMoments(
-        e_y1=e_y1,
-        e_y2=e_y2,
-        e_y3=e_y3,
-        e_y1_sq=e_y1_sq,
-        e_y2_sq=e_y2_sq,
-        e_y3_sq=e_y3_sq,
-        e_z=e_z,
-        e_y=e_y,
-        e_y_sq=e_y_sq,
-    )
+        e_z = (m - 1) / (2.0 * lam) * h_c + 1.0 / lam
+
+        e_y = e_y1 + e_y2 + e_y3
+        e_y_sq = (
+            e_y1_sq
+            + e_y2_sq
+            + e_y3_sq
+            + 2.0 * (e_y1 * e_y2 + e_y1 * e_y3 + e_y2 * e_y3)
+        )
+        pm = PhaseMoments(e_y1, e_y2, e_y3, e_y1_sq, e_y2_sq, e_y3_sq, e_z, e_y, e_y_sq)
+    except (ZeroDivisionError, OverflowError):  # a rate squared under- or overflowed
+        pm = None
+    if pm is None or not all(map(math.isfinite, vars(pm).values())):
+        raise ValueError(
+            f"the closed form at lambda_intra={lam}, lambda_inter={lam_t} "
+            f"leaves the float64 range"
+        )
+    return pm
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,8 @@ def asymptotic_age(
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not 0.0 < b <= 1.0:
         raise ValueError(f"b must lie in (0, 1], got {b}")
-    if not lambda_intra > 0 or not lambda_inter > 0:
-        raise ValueError("rates must be > 0")
+    if not (0 < lambda_intra < math.inf and 0 < lambda_inter < math.inf):
+        raise ValueError("rates must be finite and > 0")
     log_n = math.log(n)
     z = PI_SQ_OVER_6
     pm = _phase_moments(

@@ -1,10 +1,11 @@
 """Experiment orchestration and the command-line surface.
 
 Subcommands: ``analyze`` (closed forms for one parameter set),
-``simulate`` (Monte Carlo with the moment-formula and/or timeline
-estimators), ``sweep`` (parameter sweeps with slope fits and CSV/report
-emission), ``topology`` (placement, pairing, 9-TDMA grouping, and
-protocol-model checking), ``baseline`` (turn-taking reference model).
+``simulate`` (Monte Carlo: the moment-formula estimate, plus the timeline
+estimate when every session delivers within itself), ``sweep`` (parameter
+sweeps with slope fits and CSV/report emission), ``topology`` (placement,
+pairing, 9-TDMA grouping, and protocol-model checking), ``baseline``
+(turn-taking reference model).
 
 Exit codes: 0 success, 1 usage error, 2 infeasibility or validation
 failure, 3 I/O failure.
@@ -207,12 +208,12 @@ def load_sweep_config(path) -> SweepConfig:
 @dataclass(frozen=True)
 class SweepRow:
     n: int
-    m: int | None
-    b_effective: float | None
+    m: int
+    b_effective: float
     sessions: int
-    delta_analytic: float | None
-    delta_sim: float | None
-    delta_sim_stderr: float | None
+    delta_analytic: float
+    delta_sim: float
+    delta_sim_stderr: float
     delta_timeline: float | None = None
     delta_baseline: float | None = None
     wall_time_s: float | None = None
@@ -220,92 +221,93 @@ class SweepRow:
 
 # SweepRow field of each sweep CSV column; the only rename is M -> m.
 _CSV_FIELDS = {column: "m" if column == "M" else column for column in SWEEP_CSV_COLUMNS}
+_OPTIONAL_FIELDS = {f.name for f in fields(SweepRow) if f.default is None}
+
+
+def _cells_for(n: int, b: float) -> int:
+    """The cell size of ``n`` nodes at cell exponent ``b``: the divisor of n
+    nearest to n**b, or ValueError when none lies within +-50 percent."""
+    if not 0.0 < b <= 1.0:
+        raise ValueError(f"b must lie in (0, 1], got {b}")
+    target = float(n) ** b
+    m = divisor_adjusted_m(n, target)
+    if m is None:
+        raise ValueError(f"no divisor of n={n} within 50% of n^b={target:.3f}")
+    return m
+
+
+def _simulate_point(params, sessions, variant, delivery, master_seed, base_stream_index, workers):
+    """Closed-form age, moment estimate and timeline estimate (None unless
+    every session delivers within itself) of one simulated point.
+
+    The closed form comes first, so a point it cannot evaluate fails before
+    any session runs.  A worsened point whose moment estimate lies more than
+    5 standard errors from the closed form logs a warning.
+    """
+    analytic = closed_form_age(params).total
+    run = simulate_sessions(
+        params, sessions, variant=variant, delivery=delivery, master_seed=master_seed,
+        base_stream_index=base_stream_index, workers=workers,
+    )
+    moment = estimate_age_moment_formula(run.batch_summaries)
+
+    # The timeline integrator needs delivery-before-session-end on every
+    # path, which only the coupled mode (or the exact variant) ensures.
+    timeline = None
+    if delivery == DeliveryMode.COUPLED or variant == Variant.EXACT:
+        timeline = integrate_age_timeline(run)
+
+    # The closed form needs only the marginals of D and Y, which both
+    # delivery modes keep; it describes the worsened variant only.
+    if (
+        variant == Variant.WORSENED
+        and moment.std_err > 0
+        and abs(moment.delta_hat - analytic) > 5.0 * moment.std_err
+    ):
+        log.warning(
+            "n=%d m=%d: simulated age %.6g deviates from closed form %.6g "
+            "by more than 5 standard errors (%.3g)",
+            params.n, params.m, moment.delta_hat, analytic, moment.std_err,
+        )
+    return analytic, moment, timeline
 
 
 def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> list[SweepRow]:
     """One SweepRow per grid point, deterministic given the master seed.
 
-    The cell count m is the divisor of n nearest to n**b; grid points with
-    no divisor within +-50 percent of the target are emitted as warning
-    rows with empty result fields.  A worsened point whose simulated age
-    lies more than 5 standard errors from the closed form logs a warning.
+    The cell count m is the divisor of n nearest to n**b; a grid point with
+    no divisor within +-50 percent of the target raises ValueError before
+    any point is simulated.
     """
-    rows: list[SweepRow] = []
-    for i, n in enumerate(config.n_grid):
-        target = float(n) ** config.b
-        m = divisor_adjusted_m(n, target)
-        if m is None:
-            log.warning("n=%d: no divisor within 50%% of n^b=%.3f; skipping", n, target)
-            rows.append(
-                SweepRow(
-                    n=n, m=None, b_effective=None, sessions=config.sessions,
-                    delta_analytic=None, delta_sim=None, delta_sim_stderr=None,
-                )
-            )
-            continue
+    points = []
+    for n in config.n_grid:
+        m, target = _cells_for(n, config.b), float(n) ** config.b
         if m != round(target):
             log.info("n=%d: adjusted m from n^b=%.3f to divisor %d", n, target, m)
-        params = SchemeParams(n, m, config.lambda_intra, config.lambda_inter)
-        analytic = closed_form_age(params).total
+        points.append(SchemeParams(n, m, config.lambda_intra, config.lambda_inter))
 
+    rows: list[SweepRow] = []
+    for i, params in enumerate(points):
         started = time.perf_counter()
-        run = simulate_sessions(
-            params,
-            config.sessions,
-            variant=config.variant,
-            delivery=config.delivery_mode,
-            master_seed=config.master_seed,
-            base_stream_index=i * _POINT_STRIDE,
-            workers=workers,
+        analytic, estimate, timeline = _simulate_point(
+            params, config.sessions, config.variant, config.delivery_mode,
+            config.master_seed, i * _POINT_STRIDE, workers,
         )
-        estimate = estimate_age_moment_formula(run.batch_summaries)
-
-        # The timeline integrator needs delivery-before-session-end on every
-        # path, which only the coupled mode (or the exact variant) ensures.
-        delta_timeline = None
-        if config.delivery_mode == DeliveryMode.COUPLED or config.variant == Variant.EXACT:
-            delta_timeline = integrate_age_timeline(run).delta_hat
-
         delta_baseline = None
         if config.baseline:
             rr = simulate_round_robin(
-                n,
-                config.lambda_intra,
-                config.sessions,
-                master_seed=config.master_seed,
-                base_stream_index=i * _POINT_STRIDE + _BASELINE_OFFSET,
-                workers=workers,
+                params.n, config.lambda_intra, config.sessions, master_seed=config.master_seed,
+                base_stream_index=i * _POINT_STRIDE + _BASELINE_OFFSET, workers=workers,
             )
             delta_baseline = estimate_age_moment_formula(rr.batch_summaries).delta_hat
-        wall = time.perf_counter() - started if timing else None
-
-        # The closed form needs only the marginals of D and Y, which both
-        # delivery modes keep; it describes the worsened variant only.
-        if (
-            config.variant == Variant.WORSENED
-            and estimate.std_err > 0
-            and abs(estimate.delta_hat - analytic) > 5.0 * estimate.std_err
-        ):
-            log.warning(
-                "n=%d m=%d: simulated age %.6g deviates from closed form %.6g "
-                "by more than 5 standard errors (%.3g)",
-                n, m, estimate.delta_hat, analytic, estimate.std_err,
-            )
-
-        rows.append(
-            SweepRow(
-                n=n,
-                m=m,
-                b_effective=math.log(m) / math.log(n),
-                sessions=config.sessions,
-                delta_analytic=analytic,
-                delta_sim=estimate.delta_hat,
-                delta_sim_stderr=estimate.std_err,
-                delta_timeline=delta_timeline,
-                delta_baseline=delta_baseline,
-                wall_time_s=wall,
-            )
-        )
+        rows.append(SweepRow(
+            n=params.n, m=params.m, b_effective=params.b, sessions=config.sessions,
+            delta_analytic=analytic, delta_sim=estimate.delta_hat,
+            delta_sim_stderr=estimate.std_err,
+            delta_timeline=None if timeline is None else timeline.delta_hat,
+            delta_baseline=delta_baseline,
+            wall_time_s=time.perf_counter() - started if timing else None,
+        ))
     return rows
 
 
@@ -369,12 +371,11 @@ def _format_cell(value) -> str:
 
 
 def _parse_cell(field: str, text: str):
-    """A sweep CSV cell as the value of its SweepRow ``field``."""
-    if field in ("n", "sessions"):
-        return int(text)
-    if not text:
+    """A sweep CSV cell as the value of its SweepRow ``field``; only the
+    fields that default to None may be empty."""
+    if not text and field in _OPTIONAL_FIELDS:
         return None
-    return int(text) if field == "m" else float(text)
+    return int(text) if field in ("n", "m", "sessions") else float(text)
 
 
 def write_rows_csv(rows: Sequence[SweepRow], path) -> None:
@@ -468,12 +469,7 @@ def _resolve_m(args) -> int:
         return args.m
     if args.b is None:
         raise CliUsageError("one of --m or --b is required")
-    m = divisor_adjusted_m(args.n, float(args.n) ** args.b)
-    if m is None:
-        raise ValueError(
-            f"no divisor of n={args.n} within 50% of n^b={float(args.n) ** args.b:.3f}"
-        )
-    return m
+    return _cells_for(args.n, args.b)
 
 
 def _cmd_analyze(args) -> int:
@@ -486,34 +482,23 @@ def _cmd_simulate(args) -> int:
     params = SchemeParams(args.n, _resolve_m(args), args.lambda_intra, args.lambda_inter)
     variant = Variant(args.variant)
     delivery = DeliveryMode(args.delivery)
-    run = simulate_sessions(
-        params,
-        args.sessions,
-        variant=variant,
-        delivery=delivery,
-        master_seed=args.seed,
-        workers=args.workers,
+    analytic, moment, timeline = _simulate_point(
+        params, args.sessions, variant, delivery, args.seed, 0, args.workers
     )
-    analytic = closed_form_age(params).total
     print(
         f"n={params.n} m={params.m} variant={variant.value} delivery={delivery.value} "
         f"sessions={args.sessions} seed={args.seed}"
     )
     print(f"delta_analytic={analytic!r}")
-    moment = None
-    if args.estimator in ("moment", "both"):
-        moment = estimate_age_moment_formula(run.batch_summaries)
-        rel = (moment.delta_hat - analytic) / analytic
-        print(
-            f"delta_moment={moment.delta_hat!r} stderr={moment.std_err!r} "
-            f"rel_vs_analytic={rel:+.5f}"
-        )
-    if args.estimator in ("timeline", "both"):
-        timeline = integrate_age_timeline(run)
+    rel = (moment.delta_hat - analytic) / analytic
+    print(
+        f"delta_moment={moment.delta_hat!r} stderr={moment.std_err!r} "
+        f"rel_vs_analytic={rel:+.5f}"
+    )
+    if timeline is not None:
         print(f"delta_timeline={timeline.delta_hat!r} stderr={timeline.std_err!r}")
-        if moment is not None:
-            gap = (timeline.delta_hat - moment.delta_hat) / moment.delta_hat
-            print(f"timeline_vs_moment_gap={gap:+.5f}")
+        gap = (timeline.delta_hat - moment.delta_hat) / moment.delta_hat
+        print(f"timeline_vs_moment_gap={gap:+.5f}")
     return 0
 
 
@@ -617,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=100_000)
     _add_draw_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=["moment", "timeline", "both"], default="moment")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_simulate)
 

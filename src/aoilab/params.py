@@ -37,10 +37,10 @@ class SchemeParams:
                 f"n={self.n} is not divisible by m={self.m}; the model uses "
                 f"exactly n/m cells of m nodes each"
             )
-        if not self.lambda_intra > 0:
-            raise ValueError(f"lambda_intra must be > 0, got {self.lambda_intra}")
-        if not self.lambda_inter > 0:
-            raise ValueError(f"lambda_inter must be > 0, got {self.lambda_inter}")
+        for name in ("lambda_intra", "lambda_inter"):
+            rate = getattr(self, name)
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {rate}")
 
     @property
     def cells(self) -> int:

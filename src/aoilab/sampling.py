@@ -201,8 +201,8 @@ def gamma_from_uniform(u, shape: int):
     ``scipy.special.gammaincinv(shape, u)`` to 2.4e-12 relative at shape
     16, 2e-13 at 24, 4.3e-14 at 32, 2e-14 at 48 and 3e-15 from 384 to
     65536, at about 1/20 of its cost.  Uniforms within about 1e-17 of
-    either end lie beyond the table and are clamped to its end knots.  One table per shape is built on first use (a few
-    ms) and kept.
+    either end lie beyond the table and are clamped to its end knots.
+    One table per shape is built on first use (a few ms) and kept.
     """
     shape = operator.index(shape)
     if shape < _GAMMA_TABLE_MIN_SHAPE:

@@ -536,8 +536,8 @@ def simulate_round_robin(
     holds a uniform slot (see :func:`_round_robin_kernel`)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    if not 0 < rate < np.inf:
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
     n, rate = int(n), float(rate)
     return _run_batches(
         lambda u: _round_robin_kernel(u, n, rate),

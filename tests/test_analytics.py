@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,6 +205,17 @@ class TestClosedFormAge:
             scaled = closed_form_age(SchemeParams(64, 4, c, c)).total
             assert scaled == pytest.approx(base / c, rel=1e-12)
 
+    @pytest.mark.parametrize("rates", [(1e-300, 1.0), (1e308, 1e-308), (1.0, 1e200)])
+    def test_out_of_float_range_names_both_rates(self, rates):
+        # A rate squared under- or overflows: refused, not a ZeroDivisionError,
+        # an OverflowError or an infinite age.
+        lam, lam_t = rates
+        match = re.escape(f"lambda_intra={lam}, lambda_inter={lam_t} leaves the float64 range")
+        with pytest.raises(ValueError, match=match):
+            closed_form_age(SchemeParams(64, 4, lam, lam_t))
+        with pytest.raises(ValueError, match=match):
+            asymptotic_age(64, 0.25, lam, lam_t)
+
     def test_assembly_identity(self):
         params = SchemeParams(256, 8, 1.3, 0.7)
         pm = phase_moments(params)
@@ -314,6 +326,8 @@ class TestAsymptoticAge:
             asymptotic_age(100, 1.5)
         with pytest.raises(ValueError):
             asymptotic_age(1, 0.5)
+        with pytest.raises(ValueError, match="rates must be finite and > 0"):
+            asymptotic_age(100, 0.5, math.inf)
 
 
 class TestScalingExponent:
@@ -346,6 +360,12 @@ class TestSchemeParams:
             SchemeParams(8, 2, lambda_intra=0.0)
         with pytest.raises(ValueError):
             SchemeParams(0, 1)
+
+    @pytest.mark.parametrize("name", ["lambda_intra", "lambda_inter"])
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0])
+    def test_rates_must_be_finite_and_positive(self, name, rate):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {rate}$"):
+            SchemeParams(8, 2, **{name: rate})
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_fewer_than_two_nodes_rejected_with_reason(self, n):

@@ -185,11 +185,25 @@ class TestRunSweep:
         rows_b = run_sweep(config, timing=False)
         assert rows_a == rows_b
 
-    def test_infeasible_point_becomes_warning_row(self):
-        config = SweepConfig(n_grid=(97, 128), b=0.5, sessions=1000, master_seed=1)
-        rows = run_sweep(config, timing=False)
-        assert rows[0].m is None and rows[0].delta_sim is None
-        assert rows[1].m == 8
+    def test_point_without_divisor_refused_before_simulating(self, monkeypatch, tmp_path, capsys):
+        # 17 is prime: no divisor lies within 50% of 17^(1/4) = 2.03.  The
+        # sweep refuses the grid before any point runs and writes nothing.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_sessions(*args, **kwargs)
+
+        monkeypatch.setattr(expcli, "simulate_sessions", counted)
+        config = SweepConfig(n_grid=(17, 64, 256), b=0.25, sessions=1000)
+        with pytest.raises(ValueError, match=r"^no divisor of n=17 within 50% of n\^b=2.031$"):
+            run_sweep(config, timing=False)
+        assert calls == []
+        out = tmp_path / "o"
+        args = ["sweep", "--n-grid", "17,64,256", "--b", "0.25", "--sessions", "1000"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "no divisor of n=17" in capsys.readouterr().err
+        assert not out.exists() and calls == []
 
     def test_stream_windows_are_disjoint(self):
         # Every point of a b = 1/4 sweep up to n = 2^20, both variants, at the
@@ -313,22 +327,22 @@ class TestEmitReport:
         assert read_rows_csv(paths[0]) == rows
 
     def test_csv_round_trip_of_every_column_and_empty_cells(self, tmp_path):
-        # Every field set, and a warning row with only n and sessions.
+        # Every field set, and a row with only the optional cells empty.
         full = SweepRow(
             n=4096, m=8, b_effective=0.25, sessions=1000, delta_analytic=191.5,
             delta_sim=191.25, delta_sim_stderr=0.125, delta_timeline=191.0,
             delta_baseline=4097.5, wall_time_s=0.75,
         )
-        warning = SweepRow(
-            n=97, m=None, b_effective=None, sessions=1000,
-            delta_analytic=None, delta_sim=None, delta_sim_stderr=None,
+        sparse = SweepRow(
+            n=64, m=4, b_effective=1 / 3, sessions=1000,
+            delta_analytic=44.5, delta_sim=44.25, delta_sim_stderr=0.5,
         )
-        paths = emit_report([full, warning], [], tmp_path / "out", b=0.25)
+        paths = emit_report([full, sparse], [], tmp_path / "out", b=0.25)
         assert paths[0].read_text().splitlines()[1:] == [
             "4096,8,0.25,1000,191.5,191.25,0.125,191.0,4097.5,0.75",
-            "97,,,1000,,,,,,",
+            "64,4,0.3333333333333333,1000,44.5,44.25,0.5,,,",
         ]
-        assert read_rows_csv(paths[0]) == [full, warning]
+        assert read_rows_csv(paths[0]) == [full, sparse]
 
     def test_no_fit_requested_note(self, tmp_path):
         paths = emit_report(self._rows(), [], tmp_path / "out", b=0.5)
@@ -372,10 +386,17 @@ class TestCli:
         assert main(["analyze", "--n", "64"]) == 1  # neither --m nor --b
         assert main(["frobnicate"]) == 1
         assert main(["analyze", "--n", "64", "--m", "4", "--b", "0.5"]) == 1
+        # The estimators follow the model; there is no flag to choose them.
+        assert main(["simulate", "--n", "64", "--m", "4", "--estimator", "both"]) == 1
+        assert "unrecognized arguments: --estimator both" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, capsys):
         assert main(["analyze", "--n", "10", "--m", "3"]) == 2
         assert main(["simulate", "--n", "8", "--m", "2", "--sessions", "0"]) == 2
+        # b lies in (0, 1] for analyze and simulate, as for sweep.
+        capsys.readouterr()
+        assert main(["analyze", "--n", "64", "--b", "0"]) == 2
+        assert "b must lie in (0, 1], got 0.0" in capsys.readouterr().err
 
     def test_invalid_worker_count_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--n", "64", "--m", "4", "--sessions", "1000", "--workers", "0"])
@@ -425,7 +446,8 @@ class TestCli:
     def test_simulate_peak_memory_does_not_grow_with_sessions(self):
         # A run keeps batch sums, not per-session columns (one column of
         # 4e6 sessions is 32 MB): 40 times the sessions of a coupled
-        # (1024, 8) run with both estimators add less than 16 MB of peak RSS.
+        # (1024, 8) run, which reports both estimators, add less than 16 MB
+        # of peak RSS.
         script = (
             "import resource, sys\n"
             "from aoilab.expcli import main\n"
@@ -439,7 +461,7 @@ class TestCli:
             result = subprocess.run(
                 [
                     sys.executable, "-c", script, "simulate", "--n", "1024", "--m", "8",
-                    "--delivery", "coupled", "--sessions", str(sessions), "--estimator", "both",
+                    "--delivery", "coupled", "--sessions", str(sessions),
                 ],
                 capture_output=True, text=True, env=env, check=True,
             )
@@ -463,13 +485,52 @@ class TestCli:
         code = main(
             [
                 "simulate", "--n", "64", "--m", "4", "--sessions", "5000",
-                "--delivery", "coupled", "--estimator", "both", "--seed", "4",
+                "--delivery", "coupled", "--seed", "4",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "delta_moment=" in out and "delta_timeline=" in out
         assert "timeline_vs_moment_gap=" in out
+
+    def test_simulate_reports_the_timeline_exactly_when_every_session_delivers(self, capsys):
+        # The exact variant delivers within its session; worsened
+        # independent delivery may not, so it reports the moment line only.
+        base = ["simulate", "--n", "64", "--m", "4", "--sessions", "2000", "--seed", "4"]
+        assert main([*base, "--variant", "exact"]) == 0
+        out = capsys.readouterr().out
+        assert "delta_timeline=" in out and "timeline_vs_moment_gap=" in out
+        assert main(base) == 0
+        out = capsys.readouterr().out
+        assert "delta_moment=" in out and "delta_timeline=" not in out
+
+    def test_simulate_warns_when_five_standard_errors_off(self, caplog, monkeypatch, capsys):
+        def offset(params):
+            return SimpleNamespace(total=closed_form_age(params).total + 10.0)
+
+        monkeypatch.setattr(expcli, "closed_form_age", offset)
+        with caplog.at_level(logging.WARNING, logger="aoilab.expcli"):
+            code = main(["simulate", "--n", "64", "--m", "4", "--sessions", "2000"])
+        assert code == 0
+        assert any("5 standard errors" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["analyze", "--n", "64", "--m", "4", "--lambda-intra", "1e-300"],
+             "lambda_intra=1e-300, lambda_inter=1.0 leaves the float64 range"),
+            (["analyze", "--n", "64", "--m", "4", "--lambda-intra", "1e308",
+              "--lambda-inter", "1e-308"],
+             "lambda_intra=1e+308, lambda_inter=1e-308 leaves the float64 range"),
+            (["baseline", "--n", "8", "--rate", "inf"], "rate must be finite and > 0, got inf"),
+        ],
+    )
+    def test_extreme_rates_exit_2_without_warnings(self, argv, reason, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err and captured.out == ""
 
     def test_delivery_takes_only_the_model_names(self, capsys):
         code = main(

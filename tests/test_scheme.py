@@ -527,6 +527,9 @@ class TestRoundRobin:
             simulate_round_robin(0, 1.0, 100)
         with pytest.raises(ValueError):
             simulate_round_robin(3, -1.0, 100)
+        for rate in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"rate must be finite and > 0, got {rate}"):
+                simulate_round_robin(3, rate, 100)
 
 
 class TestSimulateSessions:
