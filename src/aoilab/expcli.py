@@ -39,7 +39,7 @@ from .geometry import (
     write_topology_csv,
     write_violations_csv,
 )
-from .params import SchemeParams
+from .params import SchemeParams, node_count_float
 from .sampling import StreamSpec, make_stream
 from .scheme import (
     DeliveryMode,
@@ -229,7 +229,7 @@ def _cells_for(n: int, b: float) -> int:
     nearest to n**b, or ValueError when none lies within +-50 percent."""
     if not 0.0 < b <= 1.0:
         raise ValueError(f"b must lie in (0, 1], got {b}")
-    target = float(n) ** b
+    target = node_count_float(n) ** b
     m = divisor_adjusted_m(n, target)
     if m is None:
         raise ValueError(f"no divisor of n={n} within 50% of n^b={target:.3f}")

@@ -3,7 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+
+def node_count_float(n: int) -> float:
+    """``float(n)``, or ValueError when ``n`` exceeds the largest float64."""
+    if n > sys.float_info.max:
+        raise ValueError(
+            f"n must be at most {sys.float_info.max!r}, the largest float64; "
+            f"got an integer of {n.bit_length()} bits"
+        )
+    return float(n)
 
 
 @dataclass(frozen=True)
@@ -28,6 +39,7 @@ class SchemeParams:
             raise ValueError(
                 f"n must be >= 2 (a node is never its own destination), got {self.n}"
             )
+        node_count_float(self.n)
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.m > self.n:

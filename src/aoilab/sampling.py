@@ -18,7 +18,9 @@ a fixed, deterministic function of one uniform.  That keeps replay exact,
 lets order statistics of arbitrarily many variables be drawn in O(1), and
 makes draws at different rates exact scalings of each other.
 Gamma quantiles of large integer shape come from a per-shape cubic table
-in the normal score of the uniform (:func:`gamma_from_uniform`).
+in the normal score of the uniform (:func:`gamma_from_uniform`).  The
+table's scipy.special calls are made on first use, not on import, so code
+that draws no gamma quantile never loads scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, ndtri, xlogy
 
 _MAX_UINT64 = 2**64 - 1
 
@@ -179,6 +180,8 @@ def _gamma_quantile_table(shape: int) -> np.ndarray:
     for z > 0, so neither tail loses digits to 1 - u.  Knot slopes are
     dx/dz = phi(z) / f(x), the normal density over the gamma density.
     """
+    from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, xlogy
+
     z = np.linspace(-_GAMMA_TABLE_Z, _GAMMA_TABLE_Z, _GAMMA_TABLE_KNOTS)
     lower = z <= 0
     x = np.empty_like(z)
@@ -209,6 +212,8 @@ def gamma_from_uniform(u, shape: int):
         raise ValueError(
             f"gamma_from_uniform needs shape >= {_GAMMA_TABLE_MIN_SHAPE}, got {shape}"
         )
+    from scipy.special import ndtri
+
     c0, c1, c2, c3 = _gamma_quantile_table(shape)
     t = _clean_uniform(u)
     ndtri(t, out=t)

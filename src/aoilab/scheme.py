@@ -32,9 +32,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
-from .params import SchemeParams
+from .params import SchemeParams, node_count_float
 from .sampling import (
     _GAMMA_TABLE_MIN_SHAPE,
     _TINY_UNIFORM,
@@ -256,6 +255,14 @@ def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
 _ROUND_ROBIN_WIDTH = 3
 
 
+def gammaincinv(a, y):
+    """``scipy.special.gammaincinv(a, y)``, with scipy.special imported on
+    the first call rather than with this module."""
+    from scipy.special import gammaincinv
+
+    return gammaincinv(a, y)
+
+
 def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
     """Turn-taking baseline: one pair served per slot, session = n slots.
 
@@ -407,6 +414,7 @@ def _run_batches(
     master_seed: int,
     base_stream_index: int,
     workers: int,
+    rates: str,
 ) -> SimulationRun:
     """Fill, run ``kernel`` (uniform rows -> columns) and reduce chunk by chunk.
 
@@ -423,6 +431,10 @@ def _run_batches(
     order.  The chunk plan depends only on ``width`` and ``sessions``, so
     every sum is the same for any worker count; memory holds a few chunks
     per thread, whatever the session count.
+
+    Sums that leave the float64 range raise ``ValueError`` naming
+    ``rates``, the run's rates as text, once every chunk is in; numpy warns
+    of nothing on the way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -433,16 +445,19 @@ def _run_batches(
     chunks = range(0, sessions, rows)
     bounds = _batch_bounds(sessions)
 
+    # Sums out of the float64 range are refused after the loop, not warned
+    # about; np.errstate holds per thread, so each function sets it itself.
     def reduce_chunk(lo: int) -> tuple:
         hi = min(lo + rows, sessions)
-        cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
-        y, d = cols["y"], cols["d"]
-        # Pieces go to consecutive batches, from the batch of row lo on.
-        first = bisect_right(bounds, lo) - 1
-        cuts = [lo, *bounds[first + 1 : bisect_left(bounds, hi)]]
-        sums = _chunk_sums(y, d, [c - lo for c in cuts])
-        end = (first + len(cuts) - 1, y[-1], d[-1])
-        return first, sums, int(np.count_nonzero(d > y)), d[0], end
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
+            y, d = cols["y"], cols["d"]
+            # Pieces go to consecutive batches, from the batch of row lo on.
+            first = bisect_right(bounds, lo) - 1
+            cuts = [lo, *bounds[first + 1 : bisect_left(bounds, hi)]]
+            sums = _chunk_sums(y, d, [c - lo for c in cuts])
+            end = (first + len(cuts) - 1, y[-1], d[-1])
+            return first, sums, int(np.count_nonzero(d > y)), d[0], end
 
     totals = np.zeros((len(bounds) - 1, 5))
     late = 0
@@ -451,11 +466,12 @@ def _run_batches(
     def merge(reduced: tuple) -> None:
         nonlocal late, carry
         first, sums, chunk_late, first_d, end = reduced
-        if carry is not None:
-            batch, prev_y, prev_d = carry
-            gap = (prev_y - prev_d) + first_d
-            totals[batch, 3:] += (gap * prev_d + 0.5 * gap * gap, gap)
-        totals[first : first + len(sums)] += sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            if carry is not None:
+                batch, prev_y, prev_d = carry
+                gap = (prev_y - prev_d) + first_d
+                totals[batch, 3:] += (gap * prev_d + 0.5 * gap * gap, gap)
+            totals[first : first + len(sums)] += sums
         late += chunk_late
         carry = end
 
@@ -473,6 +489,8 @@ def _run_batches(
     else:
         for lo in chunks:
             merge(reduce_chunk(lo))
+    if not np.isfinite(totals).all():
+        raise ValueError(f"the simulated sums at {rates} leave the float64 range")
     return SimulationRun(
         master_seed=master_seed,
         base_stream_index=base_stream_index,
@@ -519,7 +537,8 @@ def simulate_sessions(
         return _exact_kernel(u, params)
 
     width = _worsened_width(params) if variant == Variant.WORSENED else _exact_width(params)
-    return _run_batches(kernel, width, sessions, master_seed, base_stream_index, workers)
+    rates = f"lambda_intra={params.lambda_intra}, lambda_inter={params.lambda_inter}"
+    return _run_batches(kernel, width, sessions, master_seed, base_stream_index, workers, rates)
 
 
 def simulate_round_robin(
@@ -539,9 +558,10 @@ def simulate_round_robin(
     if not 0 < rate < np.inf:
         raise ValueError(f"rate must be finite and > 0, got {rate}")
     n, rate = int(n), float(rate)
+    node_count_float(n)
     return _run_batches(
         lambda u: _round_robin_kernel(u, n, rate),
-        _ROUND_ROBIN_WIDTH, sessions, master_seed, base_stream_index, workers,
+        _ROUND_ROBIN_WIDTH, sessions, master_seed, base_stream_index, workers, f"rate={rate}",
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,16 @@ class TestSchemeParams:
             ValueError, match=rf"^n must be >= 2 \(a node is never its own destination\), got {n}$"
         ):
             SchemeParams(n, 1)
+
+    def test_n_beyond_the_largest_float64_rejected(self):
+        largest = int(sys.float_info.max)
+        assert SchemeParams(largest, 1).n == largest
+        with pytest.raises(
+            ValueError,
+            match=r"^n must be at most 1\.7976931348623157e\+308, the largest float64; "
+            r"got an integer of 1024 bits$",
+        ):
+            SchemeParams(largest + 1, 1)
 
     def test_derived(self):
         params = SchemeParams(1024, 8)

@@ -523,6 +523,11 @@ class TestCli:
               "--lambda-inter", "1e-308"],
              "lambda_intra=1e+308, lambda_inter=1e-308 leaves the float64 range"),
             (["baseline", "--n", "8", "--rate", "inf"], "rate must be finite and > 0, got inf"),
+            # The closed form holds here; the simulated sums of Y^2 do not.
+            (["simulate", "--n", "64", "--m", "4", "--lambda-intra", "1e-152"],
+             "the simulated sums at lambda_intra=1e-152, lambda_inter=1.0 leave the float64 range"),
+            (["baseline", "--n", "8", "--rate", "1e-300"],
+             "the simulated sums at rate=1e-300 leave the float64 range"),
         ],
     )
     def test_extreme_rates_exit_2_without_warnings(self, argv, reason, capsys):
@@ -531,6 +536,26 @@ class TestCli:
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert reason in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--n", str(10**400), "--b", "0.25"],
+            ["analyze", "--n", str(10**400), "--m", "1"],
+            ["baseline", "--n", str(10**400)],
+        ],
+        ids=["analyze-b", "analyze-m", "baseline"],
+    )
+    def test_n_beyond_float64_exits_2_without_warnings(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        reason = (
+            "n must be at most 1.7976931348623157e+308, the largest float64; "
+            "got an integer of 1329 bits"
+        )
+        assert captured.err == f"error: {reason}\n" and captured.out == ""
 
     def test_delivery_takes_only_the_model_names(self, capsys):
         code = main(
@@ -632,6 +657,56 @@ class TestCli:
         assert outputs[0] == outputs[1]
         # The exact variant fills delta_timeline.
         assert all(row.delta_timeline is not None for row in read_rows_csv(out / "sweep.csv"))
+
+    def test_analyze_and_topology_never_import_scipy(self, tmp_path):
+        # A fresh interpreter: the closed form and the geometry checks need
+        # numpy only; the first gamma quantile, at (1024, 8), loads scipy.
+        script = (
+            "import sys\n"
+            "import aoilab, aoilab.expcli\n"
+            "from aoilab.expcli import main\n"
+            "assert main(['analyze', '--n', '1048576', '--b', '0.25']) == 0\n"
+            "assert main(['topology', '--n', '400', '--m', '4', '--out', sys.argv[1]]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "assert main(['simulate', '--n', '1024', '--m', '8', '--sessions', '2000']) == 0\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        result = self._fresh_interpreter(script, str(tmp_path / "topo"))
+        assert result.returncode == 0, result.stderr
+        assert "violations=0" in result.stdout and "delta_moment=" in result.stdout
+
+    def test_first_scipy_import_in_worker_threads(self):
+        # The first gamma-path run, on 2 threads of a fresh interpreter,
+        # imports scipy.special from its worker threads, and its sums equal
+        # those of 1 worker.
+        script = (
+            "import os, sys, threading\n"
+            "os.cpu_count = lambda: 2\n"
+            "from aoilab import SchemeParams, simulate_sessions\n"
+            "importers = []\n"
+            "def audit(event, args):\n"
+            "    if event == 'import' and args[0] == 'scipy.special':\n"
+            "        importers.append(threading.current_thread())\n"
+            "sys.addaudithook(audit)\n"
+            "assert 'scipy' not in sys.modules\n"
+            "params = SchemeParams(1024, 8)\n"
+            "two = simulate_sessions(params, 5000, master_seed=3, workers=2)\n"
+            "assert importers and threading.main_thread() not in importers, importers\n"
+            "one = simulate_sessions(params, 5000, master_seed=3, workers=1)\n"
+            "assert two.batch_summaries == one.batch_summaries\n"
+        )
+        result = self._fresh_interpreter(script)
+        assert result.returncode == 0, result.stderr
+
+    @staticmethod
+    def _fresh_interpreter(script, *args):
+        """``script`` run by a new interpreter with warnings as errors."""
+        env = {**os.environ, "PYTHONPATH": str(Path(aoilab.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, *args],
+            capture_output=True, text=True, env=env,
+        )
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -1,8 +1,10 @@
 """Session samplers, coupling bounds, estimators, and the baseline."""
 
 import os
+import re
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -48,7 +50,7 @@ def _constant_run(sessions, y0, d0):
     def kernel(u):
         return {"y": np.full(u.shape[0], y0), "d": np.full(u.shape[0], d0)}
 
-    return scheme._run_batches(kernel, 1, sessions, 0, 0, 1)
+    return scheme._run_batches(kernel, 1, sessions, 0, 0, 1, "rate=1.0")
 
 
 def _assert_replayed_sums(run, kernel, width, monkeypatch):
@@ -70,7 +72,7 @@ def _assert_replayed_sums(run, kernel, width, monkeypatch):
         patch.setattr(scheme, "fill_stream_rows", session_indices)
         replayed = scheme._run_batches(
             lambda s: {"y": y[s[:, 0]], "d": d[s[:, 0]]},
-            width, run.sessions, run.master_seed, run.base_stream_index, 1,
+            width, run.sessions, run.master_seed, run.base_stream_index, 1, "rate=1.0",
         )
     _assert_same_run(run, replayed)
 
@@ -466,7 +468,7 @@ class TestEstimators:
         def kernel(u):
             return {"y": np.array([1.2, 1.2]), "d": np.array([2.2, 0.7])}
 
-        run = scheme._run_batches(kernel, 1, 2, 0, 0, 1)
+        run = scheme._run_batches(kernel, 1, 2, 0, 0, 1, "rate=1.0")
         assert run.late_deliveries == 1
         with pytest.raises(ValueError, match="1 sessions deliver after the session ends"):
             integrate_age_timeline(run)
@@ -530,6 +532,8 @@ class TestRoundRobin:
         for rate in (np.inf, np.nan):
             with pytest.raises(ValueError, match=f"rate must be finite and > 0, got {rate}"):
                 simulate_round_robin(3, rate, 100)
+        with pytest.raises(ValueError, match="the largest float64; got an integer of 1329 bits"):
+            simulate_round_robin(10**400, 1.0, 100)
 
 
 class TestSimulateSessions:
@@ -691,6 +695,23 @@ class TestBatchWorkers:
         assert executors == [2]
         assert len(seen) == 2
         assert {pid for pid, _ in seen} == {os.getpid()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sums_beyond_float64_refused_without_warnings(self, executors, workers):
+        # Y^2 overflows at these rates.  Both runs make two chunks, and the
+        # threads warn of nothing: each sets its own floating-point state.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                "the simulated sums at lambda_intra=1e-152, lambda_inter=1.0 "
+                "leave the float64 range"
+            )):
+                simulate_sessions(SchemeParams(64, 8, lambda_intra=1e-152), 2000, workers=workers)
+            with pytest.raises(ValueError, match=re.escape(
+                "the simulated sums at rate=1e-300 leave the float64 range"
+            )):
+                simulate_round_robin(8, 1e-300, 10_000, workers=workers)
+        assert executors == ([] if workers == 1 else [2, 2])
 
     def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
         # Eight threads on any machine, switching every microsecond: a chunk
