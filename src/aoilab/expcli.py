@@ -73,6 +73,8 @@ _BASELINE_OFFSET = 1 << 31
 # Log distances within this of the nearest count as ties in
 # divisor_adjusted_m.
 _DIVISOR_TIE_TOL = 1e-12
+# Most integers divisor_adjusted_m tries as divisors (about half a second).
+_DIVISOR_SCAN_LIMIT = 10**7
 
 
 class CliUsageError(Exception):
@@ -84,23 +86,34 @@ def divisor_adjusted_m(n: int, target: float) -> int | None:
 
     Nearness is measured in log space (so 8 beats 4 for target 6); exact
     ties go to the smaller divisor.  Returns None when no divisor lies
-    within the +-50 percent window.
+    within the +-50 percent window.  Only that window is scanned: the
+    divisors ``d`` in it, or their cofactors ``n / d`` when those are fewer.
+    Raises ValueError when both hold more than 10^7 integers.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not target > 0:
         raise ValueError(f"target must be > 0, got {target}")
     lo, hi = 0.5 * target, 1.5 * target
-    candidates = []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            for d in (i, n // i):
-                if lo <= d <= hi:
-                    candidates.append(d)
+    if lo > n or hi < 1:
+        return None
+    first, last = max(1, math.ceil(lo)), n if hi >= n else math.floor(hi)
+    # The cofactors n // d of divisors d in [first, last] fill [n / last, n / first].
+    c_first, c_last = -(-n // last), n // first
+    scan = min(last - first, c_last - c_first) + 1
+    if scan > _DIVISOR_SCAN_LIMIT:
+        raise ValueError(
+            f"finding a divisor of n={n} within 50% of {target:.6g} would try {scan:.3g} "
+            f"integers, more than the {_DIVISOR_SCAN_LIMIT} allowed"
+        )
+    if last - first <= c_last - c_first:
+        candidates = [d for d in range(first, last + 1) if n % d == 0]
+    else:
+        candidates = [n // c for c in range(c_first, c_last + 1) if n % c == 0]
     if not candidates:
         return None
     log_t = math.log(target)
-    dist = {d: abs(math.log(d) - log_t) for d in set(candidates)}
+    dist = {d: abs(math.log(d) - log_t) for d in candidates}
     best = min(dist.values())
     return min(d for d in dist if dist[d] <= best + _DIVISOR_TIE_TOL)
 

@@ -18,9 +18,11 @@ a fixed, deterministic function of one uniform.  That keeps replay exact,
 lets order statistics of arbitrarily many variables be drawn in O(1), and
 makes draws at different rates exact scalings of each other.
 Gamma quantiles of large integer shape come from a per-shape cubic table
-in the normal score of the uniform (:func:`gamma_from_uniform`).  The
-table's scipy.special calls are made on first use, not on import, so code
-that draws no gamma quantile never loads scipy.
+in the two-sided log score ``sign(u - 1/2) sqrt(-2 log(2 min(u, 1 - u)))``
+of the uniform (:func:`gamma_from_uniform`), which numpy computes with one
+``log`` and one ``sqrt``.  The table's scipy.special calls are made when it
+is built, not on import, so code that draws no gamma quantile never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -43,14 +45,19 @@ BLOCK_TICKS = 2**36
 _TINY_UNIFORM = 2.0**-53
 
 # Gamma quantile tables: cubic Hermite pieces between knots spaced evenly in
-# the normal score z = ndtri(u).  Every generator uniform in
-# [2^-53, 1 - 2^-53] has |z| < 8.2, inside the knot range.
-_GAMMA_TABLE_KNOTS = 1025
-_GAMMA_TABLE_Z = 8.5
-_GAMMA_TABLE_STEP = 2 * _GAMMA_TABLE_Z / (_GAMMA_TABLE_KNOTS - 1)
-# Below this shape the quantile bends too far from a cubic in z: the
-# table's relative error is 1.9e-14 at shape 48, 2.4e-12 at 16, 9e-11 at 8
-# and 9e-7 at 1.
+# the two-sided log score v = sign(u - 1/2) sqrt(-2 log(2 min(u, 1 - u))).
+# The quantile is smooth in v on each side of v = 0 but not across it, so a
+# knot sits at v = 0.  The end knots are the generator grid's ends, 2^-53
+# and 1 - 2^-53, where |v| = sqrt(104 log 2) = 8.49.  4032 intervals a side
+# are the fewest, in steps of 64, that keep the shape-32 error (3.9e-14)
+# a tenth inside the 4.3e-14 the tests hold it to; 3968 reach 4.2e-14.
+_GAMMA_TABLE_HALF = 4032
+_GAMMA_TABLE_SCALE = _GAMMA_TABLE_HALF / math.sqrt(104 * math.log(2))  # intervals per unit of v
+# The table's relative error is 3.1e-14 at shape 48, 5.9e-14 at 16, 9e-14
+# at 8, 1.4e-11 at 4 and 3e-5 at 1.  Gamma quantiles below shape 16 come
+# from scipy instead; lowering this floor would move round-robin sessions
+# at n < 16, and phase two at fewer cells, onto the table and change their
+# bits.
 _GAMMA_TABLE_MIN_SHAPE = 16
 
 
@@ -169,27 +176,37 @@ def max_exp_from_uniform(u, count: int, rate: float):
     return _result(out, u)
 
 
-# A table is 32 KB; a process meets one shape per simulated (n, m) point.
-@functools.lru_cache(maxsize=64)
+# A table is 252 KiB (4 x 8064 doubles); the cache holds at most 2 MiB of them.
+# A process meets one shape per simulated (n, m) point, and a sweep-quarter
+# repetition five.
+@functools.lru_cache(maxsize=2**21 // (4 * 2 * _GAMMA_TABLE_HALF * 8))
 def _gamma_quantile_table(shape: int) -> np.ndarray:
     """Read-only ``(4, knots - 1)`` Horner coefficients ``c0..c3`` of the
     Gamma(``shape``, 1) quantile as a cubic in the offset ``t`` in [0, 1)
-    of ``z`` within each knot interval.
+    of the log score ``v`` within each knot interval.
 
-    Knot values come from the lower quantile for z <= 0 and the upper one
-    for z > 0, so neither tail loses digits to 1 - u.  Knot slopes are
-    dx/dz = phi(z) / f(x), the normal density over the gamma density.
+    A knot at ``v`` stands for the uniform ``q = exp(-v^2 / 2) / 2`` when
+    v <= 0 and ``1 - q`` when v > 0.  Its value is the lower quantile of
+    ``q`` on the left and the upper quantile of ``q`` on the right, so
+    neither tail loses digits to 1 - u.  Knot slopes are dx/dv = |v| q / f(x), over the gamma density f.
+    ``log f`` is summed from terms of order 1, not from ``shape log x`` and
+    ``gammaln(shape)``, which cancel to noise at shapes near 2^53.
     """
-    from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, xlogy
+    from scipy.special import gammainccinv, gammaincinv
 
-    z = np.linspace(-_GAMMA_TABLE_Z, _GAMMA_TABLE_Z, _GAMMA_TABLE_KNOTS)
-    lower = z <= 0
-    x = np.empty_like(z)
-    x[lower] = gammaincinv(shape, ndtr(z[lower]))
-    x[~lower] = gammainccinv(shape, ndtr(-z[~lower]))
-    log_phi = -0.5 * z * z - 0.5 * math.log(2 * math.pi)
-    log_f = xlogy(shape - 1, x) - x - gammaln(shape)
-    slope = _GAMMA_TABLE_STEP * np.exp(log_phi - log_f)
+    a = float(shape)  # scipy refuses ints above 2^64 - 1
+    v = np.arange(-_GAMMA_TABLE_HALF, _GAMMA_TABLE_HALF + 1) / _GAMMA_TABLE_SCALE
+    log_q = -0.5 * v * v - math.log(2)
+    lower = v <= 0
+    x = np.empty_like(v)
+    x[lower] = gammaincinv(a, np.exp(log_q[lower]))
+    x[~lower] = gammainccinv(a, np.exp(log_q[~lower]))
+    # log f(x) = (a - 1) log x - x - gammaln(a), with x = a (1 + e) and
+    # Stirling's series for gammaln(a) - (a - 1/2) log a + a - log(2 pi) / 2.
+    e = (x - a) / a
+    stirling = 1 / (12 * a) - 1 / (360 * a**3) + 1 / (1260 * a**5)
+    log_f = a * (np.log1p(e) - e) - np.log(x) + 0.5 * math.log(a / (2 * math.pi)) - stirling
+    slope = np.abs(v) * np.exp(log_q - log_f) / _GAMMA_TABLE_SCALE
     x0, x1, s0, s1 = x[:-1], x[1:], slope[:-1], slope[1:]
     coef = np.stack([x0, s0, 3 * (x1 - x0) - 2 * s0 - s1, 2 * (x0 - x1) + s0 + s1])
     coef.flags.writeable = False
@@ -201,31 +218,37 @@ def gamma_from_uniform(u, shape: int):
 
     ``shape`` is an integer >= 16.  On the whole generator grid (u == 0
     maps to 2^-53, as in the transforms above) the result agrees with
-    ``scipy.special.gammaincinv(shape, u)`` to 2.4e-12 relative at shape
-    16, 2e-13 at 24, 4.3e-14 at 32, 2e-14 at 48 and 3e-15 from 384 to
-    65536, at about 1/20 of its cost.  Uniforms within about 1e-17 of
-    either end lie beyond the table and are clamped to its end knots.
-    One table per shape is built on first use (a few ms) and kept.
+    ``scipy.special.gammaincinv(shape, u)`` to 5.9e-14 relative at shape
+    16, 4.6e-14 at 24, 3.9e-14 at 32, 3.1e-14 at 48, 1e-14 at 384, 3.1e-15
+    at 4096 and 8.9e-16 at 65536, at about 1/100 of its cost; the error is
+    largest next to the median.  Uniforms below 2^-53 or above 1 - 2^-53
+    are clamped to the end knots.  The table is indexed with one ``log``
+    and one ``sqrt`` per uniform; one table per shape is built on first use
+    (about 10 ms) and kept.
     """
     shape = operator.index(shape)
     if shape < _GAMMA_TABLE_MIN_SHAPE:
         raise ValueError(
             f"gamma_from_uniform needs shape >= {_GAMMA_TABLE_MIN_SHAPE}, got {shape}"
         )
-    from scipy.special import ndtri
-
     c0, c1, c2, c3 = _gamma_quantile_table(shape)
-    t = _clean_uniform(u)
-    ndtri(t, out=t)
-    np.clip(t, -_GAMMA_TABLE_Z, _GAMMA_TABLE_Z, out=t)
-    t += _GAMMA_TABLE_Z
-    t /= _GAMMA_TABLE_STEP
+    # t = v * scale + half, the position of v in knot intervals; min(u, 1 - u)
+    # is exact.
+    t = np.empty(np.shape(u))
+    np.subtract(1.0, u, out=t)
+    np.minimum(t, u, out=t)
+    np.maximum(t, _TINY_UNIFORM, out=t)
+    t *= 2.0
+    np.log(t, out=t)
+    t *= -2.0 * _GAMMA_TABLE_SCALE**2
+    np.sqrt(t, out=t)
+    np.copysign(t, np.subtract(u, 0.5), out=t)
+    t += _GAMMA_TABLE_HALF
     i = t.astype(np.intp)
-    np.minimum(i, _GAMMA_TABLE_KNOTS - 2, out=i)
+    np.minimum(i, 2 * _GAMMA_TABLE_HALF - 1, out=i)
     t -= i
     out = c3[i]
     for c in (c2, c1, c0):
         out *= t
         out += c[i]
     return _result(out, u)
-

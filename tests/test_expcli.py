@@ -2,9 +2,11 @@
 
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -59,6 +61,32 @@ class TestDivisorAdjustment:
             divisor_adjusted_m(0, 1.0)
         with pytest.raises(ValueError):
             divisor_adjusted_m(16, 0.0)
+
+    @staticmethod
+    def _by_trial_division(n, target):
+        # The scan of every i up to isqrt(n) that the window scan replaced.
+        lo, hi = 0.5 * target, 1.5 * target
+        candidates = []
+        for i in range(1, math.isqrt(n) + 1):
+            if n % i == 0:
+                for d in (i, n // i):
+                    if lo <= d <= hi:
+                        candidates.append(d)
+        if not candidates:
+            return None
+        log_t = math.log(target)
+        dist = {d: abs(math.log(d) - log_t) for d in set(candidates)}
+        best = min(dist.values())
+        return min(d for d in dist if dist[d] <= best + 1e-12)
+
+    @pytest.mark.parametrize("b", [0.2, 0.25, 1 / 3, 0.5, 0.75])
+    def test_window_scan_equals_trial_division(self, b):
+        for n in range(1, 5001):
+            assert divisor_adjusted_m(n, n**b) == self._by_trial_division(n, n**b), n
+
+    def test_window_too_large_to_scan_refused(self):
+        with pytest.raises(ValueError, match=r"would try 1e\+75 integers, more than the 10000000"):
+            divisor_adjusted_m(10**300, 10**75)
 
 
 class TestSweepConfig:
@@ -556,6 +584,28 @@ class TestCli:
             "got an integer of 1329 bits"
         )
         assert captured.err == f"error: {reason}\n" and captured.out == ""
+
+    def test_divisor_search_is_quick_or_refused(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            started = time.perf_counter()
+            assert main(["analyze", "--n", str(10**20), "--b", "0.25"]) == 0
+            assert time.perf_counter() - started < 1.0
+            assert capsys.readouterr().out.startswith(f"n={10**20} m=100000 ")
+            assert main(["analyze", "--n", str(10**300), "--b", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: finding a divisor of n={10**300} within 50% of 1e+75 would try "
+            "1e+75 integers, more than the 10000000 allowed\n"
+        )
+        assert captured.out == ""
+
+    def test_baseline_beyond_uint64_without_warnings(self, capsys):
+        # scipy refuses the Python int 2^64 as a shape; the table gets a float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["baseline", "--n", str(2**64), "--sessions", "2000"]) == 0
+        assert "delta_closed_form=1.8446744073709552e+19" in capsys.readouterr().out
 
     def test_delivery_takes_only_the_model_names(self, capsys):
         code = main(

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaincinv
+from scipy.special import gammainccinv, gammaincinv
 
 from aoilab import (
     SchemeParams,
@@ -222,8 +222,9 @@ class TestGammaFromUniform:
         return np.concatenate([u, 2.0**-k, 1 - 2.0**-k, [0.0]])
 
     # Simulation reaches every shape from 16 up: phase two from 4 m cells,
-    # the round-robin baseline at n.  Below 48 each bound is the measured
-    # error on these uniforms, rounded up.
+    # the round-robin baseline at n.  The table now errs by 5.9e-14, 4.6e-14
+    # and 3.9e-14 at 16, 24 and 32 on these uniforms; its knot count is the
+    # fewest that keep shape 32 inside its bound.
     _BOUNDS = {16: 2.4e-12, 24: 2.0e-13, 32: 4.3e-14}
 
     @pytest.mark.parametrize("shape", [16, 24, 32, 48, 384, 512, 2048, 4096, 32768, 65536])
@@ -235,10 +236,40 @@ class TestGammaFromUniform:
 
     @pytest.mark.parametrize("shape", [16, 48, 4096, 65536])
     def test_non_decreasing_on_sorted_uniforms(self, shape):
-        # Checked at sample spacing: ndtri and gammaincinv themselves step
-        # back by an ulp between some neighbouring grid points.
+        # Checked at sample spacing: gammaincinv itself steps back by an ulp
+        # between some neighbouring grid points.
         u = np.sort(self._uniforms(shape + 1))
         assert np.all(np.diff(gamma_from_uniform(u, shape)) >= 0)
+
+    @pytest.mark.parametrize("shape", [16, 24, 32, 48, 4096, 65536])
+    def test_grid_neighbours_of_the_median(self, shape):
+        # The log score's knot at v = 0, where the quantile has a kink in
+        # v: u = 1/2 + k 2^-53 for |k| <= 1024 have |v| < 1e-6.
+        u = 0.5 + np.arange(-1024, 1025) * 2.0**-53
+        got = gamma_from_uniform(u, shape)
+        assert np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got / gammaincinv(shape, u) - 1)) <= self._BOUNDS.get(shape, 1e-13)
+
+    @pytest.mark.parametrize("shape", [16, 4096])
+    def test_generator_grid_ends_clamp_to_end_knots(self, shape):
+        c0, c1, c2, c3 = _gamma_quantile_table(shape)
+        first, last = c0[0], c0[-1] + c1[-1] + c2[-1] + c3[-1]
+        bound = self._BOUNDS.get(shape, 1e-13)
+        assert abs(first / gammaincinv(shape, _TINY_UNIFORM) - 1) <= bound
+        assert abs(last / gammainccinv(shape, _TINY_UNIFORM) - 1) <= bound
+        low = gamma_from_uniform(np.array([0.0, _TINY_UNIFORM, 1e-300]), shape)
+        high = gamma_from_uniform(np.array([1 - _TINY_UNIFORM, 1.0]), shape)
+        assert np.all(low == low[0]) and abs(low[0] / first - 1) <= 1e-15
+        assert np.all(high == high[0]) and abs(high[0] / last - 1) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [2**53, 2**64])
+    def test_huge_shapes_follow_gammaincinv(self, shape):
+        # Knot slopes need log-density terms of order 1: shape log x and
+        # gammaln(shape) cancel to noise at 2^53, and scipy takes 2^64
+        # only as a float.  Measured: within 3e-9 of gammaincinv here.
+        u = self._uniforms(7)[::100]
+        want = gammaincinv(float(shape), np.maximum(u, _TINY_UNIFORM))
+        assert np.max(np.abs(gamma_from_uniform(u, shape) / want - 1)) <= 1e-8
 
     @pytest.mark.parametrize("shape", [15, 8, 1, 0, -3])
     def test_small_shapes_raise_naming_the_limit(self, shape):
@@ -254,13 +285,20 @@ class TestGammaFromUniform:
         assert got.shape == view.shape
         assert np.array_equal(got, gamma_from_uniform(np.ascontiguousarray(view), 384))
         assert np.array_equal(u, before)
-        for x in (0.0, 0.25):
-            one = gamma_from_uniform(x, 384)
-            assert np.ndim(one) == 0 and one == gamma_from_uniform(np.array([x]), 384)[0]
+        for x in (0.0, 0.25, 0.5, 0.75, 1 - _TINY_UNIFORM):
+            want = gamma_from_uniform(np.array([x]), 384)[0]
+            for one in (gamma_from_uniform(x, 384), gamma_from_uniform(np.array(x), 384)):
+                assert np.ndim(one) == 0 and one == want
 
     def test_table_is_read_only(self):
         with pytest.raises(ValueError):
             _gamma_quantile_table(384)[0, 0] = 0.0
+
+    def test_cache_holds_at_most_2_mib(self):
+        # and at least the five shapes of one b = 1/4 sweep up to n = 2^16
+        maxsize = _gamma_quantile_table.cache_info().maxsize
+        assert maxsize >= 5
+        assert maxsize * _gamma_quantile_table(384).nbytes <= 2**21
 
     def test_first_build_on_threads_is_bit_identical(self, fills, monkeypatch):
         # Four threads on any machine, switching every microsecond, each

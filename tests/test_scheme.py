@@ -524,6 +524,13 @@ class TestRoundRobin:
         assert [s.count for s in run.batch_summaries] == [32, 32, 32]
         _assert_replayed_sums(run, lambda u: _round_robin_kernel(u, n, rate), 3, monkeypatch)
 
+    @pytest.mark.parametrize("n", [2**53, 2**64])
+    def test_huge_n_matches_closed_form(self, n):
+        # At 2^53 noisy table slopes drew negative ages; 2^64 is no uint64.
+        run = simulate_round_robin(n, 1.0, 2000, master_seed=608)
+        est = estimate_age_moment_formula(run.batch_summaries)
+        assert abs(est.delta_hat - (n + 1)) < 4 * est.std_err
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_round_robin(0, 1.0, 100)
