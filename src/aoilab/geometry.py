@@ -274,7 +274,7 @@ def check_protocol_model(
     links.  With a large gamma all links share a few buckets, and every
     pair is compared.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     links = np.asarray(transmissions, dtype=np.int64).reshape(len(transmissions), 2)
     tx, rx = links[:, 0], links[:, 1]

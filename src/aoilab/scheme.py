@@ -74,24 +74,24 @@ class SessionSample:
 
 
 class MomentSummary(NamedTuple):
-    """One batch's sums, all that both age estimators read: Y, Y^2 and D
-    over its sessions, and the sawtooth age's ``area`` and ``elapsed`` time
-    over the segments they start (segment ``j`` runs from delivery ``j`` to
-    delivery ``j + 1``; the run's last session starts none)."""
+    """One batch's sums, all that both age estimators read: Y, Y^2, D and
+    ``sum_prev_y_d``, the sum of ``y_{j-1} d_j``, over its sessions ``j``.
+    The run's first session follows its last, whose ``y`` pairs with the
+    run's first ``d`` in batch 0 (the wrap).  When every session delivers
+    within itself (d <= y), ``y_{j-1} d_j + y_j^2 / 2`` is exactly the
+    sawtooth age's area over session ``j``."""
 
     count: int = 0
     sum_y: float = 0.0
     sum_y_sq: float = 0.0
     sum_d: float = 0.0
-    area: float = 0.0
-    elapsed: float = 0.0
+    sum_prev_y_d: float = 0.0
 
 
 @dataclass(frozen=True)
 class AgeEstimate:
     delta_hat: float
     std_err: float
-    method: str  # "moment_formula" | "timeline"
     sessions: int
 
 
@@ -386,25 +386,17 @@ def _batch_bounds(count: int) -> list[int]:
 
 
 def _chunk_sums(y: np.ndarray, d: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
-    """Sums of ``Y``, ``Y^2``, ``D``, the segment areas and the segment lengths
-    over the pieces of one chunk's rows that start at ``cuts``, one row a
-    piece: the last five fields of :class:`MomentSummary`.
-
-    Segment ``i`` runs from delivery ``i`` to delivery ``i + 1``: its
-    length is ``(y_i - d_i) + d_{i+1}``, taken locally so that no error
-    builds up along the run.  The chunk's last segment ends in the next
-    chunk, so its entries here are 0.
+    """Sums of ``Y``, ``Y^2``, ``D`` and ``y_{j-1} d_j`` over the pieces of
+    one chunk's rows that start at ``cuts``, one row a piece: the last four
+    fields of :class:`MomentSummary`.  The chunk's first row pairs with the
+    previous chunk's last ``y``, so its entry here is 0.
     """
-    terms = np.empty((5, y.size))
+    terms = np.empty((4, y.size))
     terms[0] = y
     np.multiply(y, y, out=terms[1])
     terms[2] = d
-    areas, gaps = terms[3], terms[4]
-    np.subtract(y[:-1], d[:-1], out=gaps[:-1])
-    gaps[:-1] += d[1:]
-    gaps[-1] = 0.0
-    np.multiply(gaps, d, out=areas)
-    areas += 0.5 * gaps * gaps
+    terms[3, 0] = 0.0
+    np.multiply(y[:-1], d[1:], out=terms[3, 1:])
     return np.add.reduceat(terms, cuts, axis=1).T
 
 
@@ -427,9 +419,12 @@ def _run_batches(
     dropped.  Chunks run on up to ``workers`` threads of this process (the
     fill and the kernels release the GIL), or inline on the caller's thread
     when only one would run.  The caller's thread adds the pieces, and the
-    segment that crosses from each chunk into the next (it belongs to the
-    batch of the session that starts it), into the batch sums in chunk
-    order.  The chunk plan depends only on ``width`` and ``sessions``, so
+    product of the previous chunk's last ``y`` and each chunk's first ``d``
+    (it belongs to the batch of that ``d``), into the batch sums in chunk
+    order.  After the last chunk it adds the wrap, the run's last ``y``
+    times its first ``d``, to batch 0: the timeline's identity (see
+    :func:`integrate_age_timeline`) lets the run's first session follow its
+    last.  The chunk plan depends only on ``width`` and ``sessions``, so
     every sum is the same for any worker count; memory holds a few chunks
     per thread, whatever the session count.
 
@@ -457,24 +452,23 @@ def _run_batches(
             first = bisect_right(bounds, lo) - 1
             cuts = [lo, *bounds[first + 1 : bisect_left(bounds, hi)]]
             sums = _chunk_sums(y, d, [c - lo for c in cuts])
-            end = (first + len(cuts) - 1, y[-1], d[-1])
-            return first, sums, int(np.count_nonzero(d > y)), d[0], end
+            return first, sums, int(np.count_nonzero(d > y)), d[0], y[-1]
 
-    totals = np.zeros((len(bounds) - 1, 5))
+    totals = np.zeros((len(bounds) - 1, 4))
     late = 0
-    carry = None  # (batch, y, d) of the previous chunk's last session
+    run_first_d = prev_y = None  # prev_y: the previous chunk's last y
 
     def merge(reduced: tuple) -> None:
-        nonlocal late, carry
-        first, sums, chunk_late, first_d, end = reduced
+        nonlocal late, run_first_d, prev_y
+        first, sums, chunk_late, first_d, last_y = reduced
         with np.errstate(over="ignore", invalid="ignore"):
-            if carry is not None:
-                batch, prev_y, prev_d = carry
-                gap = (prev_y - prev_d) + first_d
-                totals[batch, 3:] += (gap * prev_d + 0.5 * gap * gap, gap)
+            if prev_y is None:
+                run_first_d = first_d
+            else:
+                totals[first, 3] += prev_y * first_d
             totals[first : first + len(sums)] += sums
         late += chunk_late
-        carry = end
+        prev_y = last_y
 
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
@@ -490,6 +484,8 @@ def _run_batches(
     else:
         for lo in chunks:
             merge(reduce_chunk(lo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals[0, 3] += prev_y * run_first_d
     if not np.isfinite(totals).all():
         raise ValueError(f"the simulated sums at {rates} leave the float64 range")
     return SimulationRun(
@@ -571,22 +567,29 @@ def simulate_round_robin(
 # ---------------------------------------------------------------------------
 
 
-def _batch_means(summaries: Sequence[MomentSummary], ratio: Callable, method: str) -> AgeEstimate:
-    """``ratio`` of the summed fields of ``summaries``, with the batch-means
+def _batch_means(
+    summaries: Sequence[MomentSummary], mean_d: Callable[[MomentSummary], float]
+) -> AgeEstimate:
+    """Renewal-reward age ``E[D] + E[Y^2] / (2 E[Y])`` of the summed fields
+    of ``summaries``, with ``E[D]`` read by ``mean_d``, and the batch-means
     standard error of its per-batch values (NaN for a single batch).
 
-    ``ratio`` takes the six fields of :class:`MomentSummary`, as floats or as
+    ``mean_d`` takes a :class:`MomentSummary` whose fields are floats or
     arrays over the batches.  Batch means weigh every batch alike, so they
     need batches of near-equal size, as a run's ``batch_summaries`` are.
     """
     sums = np.array(summaries, dtype=float).reshape(-1, len(MomentSummary._fields))
-    total = sums.sum(axis=0)
-    if total[0] < 2:
-        raise ValueError(f"need at least 2 sessions, got {int(total[0])}")
+
+    def age(s: MomentSummary):
+        return mean_d(s) + (s.sum_y_sq / s.count) / (2.0 * (s.sum_y / s.count))
+
+    total = MomentSummary(*sums.sum(axis=0))
+    if total.count < 2:
+        raise ValueError(f"need at least 2 sessions, got {int(total.count)}")
     std_err = float("nan")
     if len(sums) >= 2:
-        std_err = float(ratio(*sums.T).std(ddof=1) / np.sqrt(len(sums)))
-    return AgeEstimate(float(ratio(*total)), std_err, method, int(total[0]))
+        std_err = float(age(MomentSummary(*sums.T)).std(ddof=1) / np.sqrt(len(sums)))
+    return AgeEstimate(float(age(total)), std_err, int(total.count))
 
 
 def estimate_age_moment_formula(summaries: Sequence[MomentSummary]) -> AgeEstimate:
@@ -596,24 +599,23 @@ def estimate_age_moment_formula(summaries: Sequence[MomentSummary]) -> AgeEstima
     standard error comes from the spread of per-batch estimates (batch
     means), otherwise it is NaN.
     """
-
-    def age(count, sum_y, sum_y_sq, sum_d, area, elapsed):
-        return sum_d / count + (sum_y_sq / count) / (2.0 * (sum_y / count))
-
-    return _batch_means(summaries, age, "moment_formula")
+    return _batch_means(summaries, lambda s: s.sum_d / s.count)
 
 
 def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
-    """Direct area integration of the sawtooth age process of ``run``'s
-    sessions, read from the ``area`` and ``elapsed`` of its batch summaries.
+    """Time average of the sawtooth age process of ``run``'s sessions laid
+    end to end, read from the sums of its batch summaries.
 
-    Sessions are laid end to end; update j is generated when session j
-    starts and delivered d_j later, dropping the age to d_j.  The exact
-    area between consecutive deliveries is a trapezoid.  Requires delivery
-    within the session (d <= y, i.e. coupled-style input); otherwise the
-    delivery epochs would not be ordered and the sawtooth is ill-defined.
-    The standard error is the batch means over the session batches, each
-    holding the segments its sessions start (NaN for fewer than 64
+    Update j is generated when session j starts and delivered d_j later,
+    dropping the age to d_j.  When every session delivers within itself
+    (d <= y, i.e. coupled-style input), session j holds update j - 1's age
+    until d_j and then update j's, so the age's area over it is exactly
+    ``y_{j-1} d_j + y_j^2 / 2``.  With the run's first session following
+    its last, the time average is ``(sum y_{j-1} d_j + sum y_j^2 / 2) /
+    sum y_j``: the moment formula with ``E[D]`` read as ``sum_prev_y_d /
+    sum_y`` in place of ``sum_d / count``.  A late delivery (d > y) would
+    break the identity, so runs with any are refused.  The standard error
+    is the batch means over the session batches (NaN for fewer than 64
     sessions, which make one batch).
     """
     if run.late_deliveries:
@@ -621,8 +623,4 @@ def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
             f"{run.late_deliveries} sessions deliver after the session ends (d > y); "
             f"timeline integration needs coupled delivery"
         )
-
-    def age(count, sum_y, sum_y_sq, sum_d, area, elapsed):
-        return area / elapsed
-
-    return _batch_means(run.batch_summaries, age, "timeline")
+    return _batch_means(run.batch_summaries, lambda s: s.sum_prev_y_d / s.sum_y)

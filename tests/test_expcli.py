@@ -631,6 +631,15 @@ class TestCli:
         assert (tmp_path / "topo" / "topology.csv").exists()
         assert (tmp_path / "topo" / "violations.csv").exists()
 
+    def test_topology_refuses_nan_gamma(self, tmp_path, capsys):
+        out_dir = tmp_path / "nan-gamma"
+        code = main(
+            ["topology", "--n", "400", "--m", "4", "--gamma", "nan", "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert "gamma must be >= 0, got nan" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_topology_at_quarter_exponent_scale(self, tmp_path, capsys, read_topology_csv):
         # b = 1/4 with m = 16 at n = 2^16: the pairing exists (16 <= n/2) and
         # the 9-TDMA pattern is admissible at the default guard zone.

@@ -436,6 +436,13 @@ class TestProtocolModel:
         assert len(violations) >= 1
         assert all(v.margin < 0 for v in violations)
 
+    def test_refuses_nan_gamma(self):
+        # A NaN threshold compares false everywhere and would report nothing.
+        topo, transmissions = corner_case_witness()
+        assert len(check_protocol_model(topo, transmissions, 0.5)) == 1
+        with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
+            check_protocol_model(topo, transmissions, float("nan"))
+
     def test_margin_fields(self):
         topo, transmissions = corner_case_witness()
         violations = check_protocol_model(topo, transmissions, GUARD_ZONE_LIMIT + 0.05)

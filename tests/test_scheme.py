@@ -343,11 +343,11 @@ class TestPhaseTwo:
 
 class TestMomentSummary:
     def test_summaries_stack_into_one_array(self):
-        a = MomentSummary(10, 1.0, 2.0, 3.0, 4.0, 5.0)
+        a = MomentSummary(10, 1.0, 2.0, 3.0, 4.0)
         b = MomentSummary(20, 1.5, 2.5, 3.5)
         sums = np.array([a, b], dtype=float)
-        assert sums.shape == (2, 6)
-        assert sums.sum(axis=0).tolist() == [30, 2.5, 4.5, 6.5, 4.0, 5.0]
+        assert sums.shape == (2, 5)
+        assert sums.sum(axis=0).tolist() == [30, 2.5, 4.5, 6.5, 4.0]
 
     def test_bit_identical_across_worker_counts(self, fills):
         # 20 000 rows of 16 padded uniforms make 10 chunks of up to 2048.
@@ -404,24 +404,34 @@ class TestEstimators:
             monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
             est = integrate_age_timeline(_constant_run(100, y0, d0))
             assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-12)
-            assert est.method == "timeline"
 
     def test_timeline_exact_over_a_million_constant_sessions(self):
-        # Gaps are taken session by session, not as differences of a running
-        # sum of session starts, whose rounding grows with the run.
+        # Areas are taken session by session, not from a running sum of
+        # session starts, whose rounding grows with the run.
         est = integrate_age_timeline(_constant_run(10**6, 0.1, 0.03))
         assert est.sessions == 10**6
         assert est.delta_hat == pytest.approx(0.03 + 0.1 / 2.0, rel=1e-13, abs=0.0)
 
     def test_timeline_matches_column_reference(self, session_columns, monkeypatch):
-        # The streamed sums equal those of the whole columns, with segments
-        # that cross from each 4-row chunk into the next: segment j, from
-        # delivery j to delivery j + 1, lies in session j's batch.
+        # The streamed estimate equals the age integrated piece by piece over
+        # one period [0, sum y) of the periodic path, whose sessions repeat
+        # the run's: between deliveries the age is t minus the generation
+        # time of the freshest update, which at t = 0 is the previous
+        # period's last.  Each batch's sum_prev_y_d holds y_{j-1} d_j of its
+        # sessions j, the run's first d pairing with its last y, in 4-row
+        # chunks too.
         params = SchemeParams(64, 4)
         cols = session_columns(params, 3_000, delivery="coupled", master_seed=14)
-        gaps = np.diff(np.cumsum(cols.y) - cols.y + cols.d)
-        areas = gaps * cols.d[:-1] + 0.5 * gaps * gaps
-        terms = np.array([cols.y, cols.y**2, cols.d, np.append(areas, 0.0), np.append(gaps, 0.0)])
+        period = cols.y.sum()
+        generated = np.cumsum(cols.y) - cols.y
+        delivered = generated + cols.d
+        assert np.all(np.diff(delivered) >= 0) and delivered[-1] <= period
+        starts = np.append(0.0, delivered)
+        ends = np.append(delivered, period)
+        born = np.append(generated[-1] - period, generated)
+        area = 0.5 * ((ends - born) ** 2 - (starts - born) ** 2).sum()
+
+        terms = np.array([cols.y, cols.y**2, cols.d, np.roll(cols.y, 1) * cols.d])
         bounds = scheme._batch_bounds(3_000)
         expected = [
             (b - a, *terms[:, a:b].sum(axis=1)) for a, b in zip(bounds, bounds[1:])
@@ -432,7 +442,7 @@ class TestEstimators:
             assert len(run.batch_summaries) == 32
             np.testing.assert_allclose(run.batch_summaries, expected, rtol=1e-12, atol=0.0)
             est = integrate_age_timeline(run)
-            assert est.delta_hat == pytest.approx(areas.sum() / gaps.sum(), rel=1e-12, abs=0.0)
+            assert est.delta_hat == pytest.approx(area / period, rel=1e-12, abs=0.0)
 
     def test_timeline_agrees_with_moment_formula(self):
         params = SchemeParams(256, 8)
@@ -446,7 +456,7 @@ class TestEstimators:
         assert timeline.std_err > 0
 
     def test_timeline_std_err_needs_two_batches_of_segments(self):
-        # Segments share the session batches; 64 sessions make 2 batches.
+        # The timeline shares the session batches; 64 sessions make 2.
         params = SchemeParams(64, 4)
         for sessions in (2, 63, 64, 1000):
             run = simulate_sessions(params, sessions, delivery="coupled", master_seed=13)
@@ -454,12 +464,12 @@ class TestEstimators:
             assert np.isnan(std_err) if sessions < 64 else std_err > 0, sessions
 
     def test_timeline_std_err_finite_at_64_sessions(self):
-        # Two batches of 32 sessions: the first holds 32 segments, the second
-        # 31, as the last session starts none.
+        # Two batches of 32 sessions, each with 32 terms y_{j-1} d_j: the
+        # first's include the wrap, the last y times the first d.
         y0, d0 = 2.0, 0.75
         run = _constant_run(64, y0, d0)
         assert [s.count for s in run.batch_summaries] == [32, 32]
-        assert [s.elapsed for s in run.batch_summaries] == [32 * y0, 31 * y0]
+        assert [s.sum_prev_y_d for s in run.batch_summaries] == [32 * y0 * d0, 32 * y0 * d0]
         est = integrate_age_timeline(run)
         assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-14)
         assert np.isfinite(est.std_err)
