@@ -145,17 +145,29 @@ def _flag(value) -> bool:
     return value
 
 
-# SweepConfig field -> its type: the value as stored, or an error saying what is wrong.
-_FIELD_TYPES = {
-    "n_grid": _integers,
-    "b": _real,
-    "lambda_intra": _real,
-    "lambda_inter": _real,
-    "sessions": _integer,
-    "master_seed": _integer,
-    "variant": Variant,
-    "delivery_mode": DeliveryMode,
-    "baseline": _flag,
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
+# SweepConfig field -> (its type: the value as stored, or an error saying what
+# is wrong; its sweep flag; that flag's argparse keywords), in the order a
+# refused --config line lists the flags.
+_SWEEP_FIELDS = {
+    "n_grid": (_integers, "--n-grid", {"type": _int_list, "help": "comma-separated n values"}),
+    "b": (_real, "--b", {"type": float}),
+    "sessions": (_integer, "--sessions", {"type": int}),
+    "master_seed": (_integer, "--seed", {"type": int}),
+    "variant": (Variant, "--variant", {"choices": [v.value for v in Variant]}),
+    "delivery_mode": (DeliveryMode, "--delivery", {"choices": [m.value for m in DeliveryMode]}),
+    "baseline": (
+        _flag, "--baseline", {"action": "store_true", "help": "also run the turn-taking baseline"}
+    ),
+    "lambda_intra": (_real, "--lambda-intra", {"type": float}),
+    "lambda_inter": (_real, "--lambda-inter", {"type": float}),
 }
 
 
@@ -177,7 +189,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             try:
-                value = _FIELD_TYPES[f.name](getattr(self, f.name))
+                value = _SWEEP_FIELDS[f.name][0](getattr(self, f.name))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"bad value for {f.name!r}: {exc}") from None
             object.__setattr__(self, f.name, value)
@@ -210,7 +222,7 @@ def load_sweep_config(path) -> SweepConfig:
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object")
-        unknown = raw.keys() - _FIELD_TYPES
+        unknown = raw.keys() - _SWEEP_FIELDS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         return SweepConfig(**raw)
@@ -375,14 +387,6 @@ def fit_slope(rows: Sequence[SweepRow], column: str) -> SlopeFit:
     )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _parse_cell(field: str, text: str):
     """A sweep CSV cell as the value of its SweepRow ``field``; only the
     fields that default to None may be empty."""
@@ -392,11 +396,11 @@ def _parse_cell(field: str, text: str):
 
 
 def write_rows_csv(rows: Sequence[SweepRow], path) -> None:
+    # csv writes None as an empty cell and a float by repr.
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = (getattr(row, field) for field in _CSV_FIELDS.values())
-            fh.write(",".join(_format_cell(c) for c in cells) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer.writerows([getattr(row, field) for field in _CSV_FIELDS.values()] for row in rows)
 
 
 def read_rows_csv(path) -> list[SweepRow]:
@@ -455,14 +459,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.replace(",", " ").split())
-    except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-
-
 def _print_breakdown(params: SchemeParams, breakdown: AgeBreakdown) -> None:
     print(
         f"n={params.n} m={params.m} lambda_intra={params.lambda_intra} "
@@ -516,27 +512,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    inline = {  # flag: (SweepConfig field, value; None when the flag is not given)
-        "--n-grid": ("n_grid", args.n_grid),
-        "--b": ("b", args.b),
-        "--sessions": ("sessions", args.sessions),
-        "--seed": ("master_seed", args.seed),
-        "--variant": ("variant", args.variant),
-        "--delivery": ("delivery_mode", args.delivery),
-        "--baseline": ("baseline", args.baseline),
-        "--lambda-intra": ("lambda_intra", args.lambda_intra),
-        "--lambda-inter": ("lambda_inter", args.lambda_inter),
-    }
-    given = [flag for flag, (_, value) in inline.items() if value is not None]
+    given = {field: getattr(args, field) for field in _SWEEP_FIELDS if hasattr(args, field)}
     if args.config is not None:
         if given:
-            flags = ", ".join(given)
+            flags = ", ".join(_SWEEP_FIELDS[field][1] for field in given)
             raise CliUsageError(f"--config cannot be combined with inline sweep flags ({flags})")
         config = load_sweep_config(args.config)
     else:
-        if args.n_grid is None:
+        if "n_grid" not in given:
             raise CliUsageError("either --config or --n-grid is required")
-        config = SweepConfig(**dict(inline[flag] for flag in given))
+        config = SweepConfig(**given)
     rows = run_sweep(config, workers=args.workers, timing=not args.no_timing)
     fits = []
     for column in ("delta_analytic", "delta_sim", "delta_baseline"):
@@ -589,11 +574,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-def _add_draw_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=[v.value for v in Variant], default="worsened")
-    p.add_argument("--delivery", choices=[m.value for m in DeliveryMode], default="independent")
-
-
 def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="number of nodes")
     p.add_argument("--m", type=int, default=None, help="nodes per cell (divisor of n)")
@@ -613,27 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo age estimation")
     _add_common_model_flags(p)
     p.add_argument("--sessions", type=int, default=100_000)
-    _add_draw_flags(p)
+    p.add_argument("--variant", choices=[v.value for v in Variant], default="worsened")
+    p.add_argument("--delivery", choices=[m.value for m in DeliveryMode], default="independent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaling sweep over an n grid")
     p.add_argument("--config", default=None, help="JSON object keyed by SweepConfig field")
-    # Inline sweep flags default to None, so that a config file can refuse
-    # them and SweepConfig fills in the rest.
-    p.add_argument("--n-grid", type=_int_list, default=None, help="comma-separated n values")
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--lambda-intra", type=float, default=None, dest="lambda_intra")
-    p.add_argument("--lambda-inter", type=float, default=None, dest="lambda_inter")
-    p.add_argument("--sessions", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_draw_flags(p)
-    p.add_argument(
-        "--baseline", action="store_true", default=None,
-        help="also run the turn-taking baseline",
-    )
-    p.set_defaults(variant=None, delivery=None)
+    # A sweep flag not given leaves no attribute, so a config file can refuse
+    # the given ones.
+    for field, (_, flag, keywords) in _SWEEP_FIELDS.items():
+        p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **keywords)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timing", action="store_true", help="omit wall times (byte-stable output)")
@@ -670,7 +641,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,8 +80,8 @@ def place_nodes(n: int, area: float, stream: np.random.Generator) -> Topology:
     """n points uniform and independent on the square of the given area."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not area > 0:
-        raise ValueError(f"area must be > 0, got {area}")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be finite and > 0, got {area}")
     side = math.sqrt(area)
     return Topology(area_side=side, positions=stream.random((int(n), 2)) * side)
 
@@ -100,8 +100,8 @@ def build_cells(n: int, m: int, area: float) -> CellGrid:
             f"n/m = {cells} cells cannot tile a square grid; pick m so that "
             f"n/m is a perfect square (e.g. m={n // (per_side * per_side)})"
         )
-    if not area > 0:
-        raise ValueError(f"area must be > 0, got {area}")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be finite and > 0, got {area}")
     return CellGrid(area_side=math.sqrt(area), cells_per_side=per_side)
 
 
@@ -430,21 +430,15 @@ def corner_case_witness(area: float = 1.0, cells_per_side: int = 5) -> tuple[Top
 
 
 def write_topology_csv(topology: Topology, path) -> None:
+    n = topology.n
+    columns = [range(n), *topology.positions.T.tolist()]
+    for column in (topology.cell_of, topology.pairing):
+        columns.append([None] * n if column is None else column.tolist())
+    # csv writes None as an empty cell and a float by repr.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node_id", "x", "y", "cell_id", "dest_id"])
-        cell_of = topology.cell_of
-        pairing = topology.pairing
-        for i in range(topology.n):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(topology.positions[i, 0])),
-                    repr(float(topology.positions[i, 1])),
-                    "" if cell_of is None else int(cell_of[i]),
-                    "" if pairing is None else int(pairing[i]),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def write_violations_csv(violations: list[Violation], gamma: float, path) -> None:
@@ -453,15 +447,7 @@ def write_violations_csv(violations: list[Violation], gamma: float, path) -> Non
         writer.writerow(
             ["receiver", "transmitter", "interferer", "d_ji", "d_jk", "gamma", "margin"]
         )
-        for v in violations:
-            writer.writerow(
-                [
-                    v.receiver,
-                    v.transmitter,
-                    v.interferer,
-                    repr(v.d_own),
-                    repr(v.d_interferer),
-                    repr(gamma),
-                    repr(v.margin),
-                ]
-            )
+        writer.writerows(
+            [v.receiver, v.transmitter, v.interferer, v.d_own, v.d_interferer, gamma, v.margin]
+            for v in violations
+        )

@@ -204,7 +204,7 @@ def _gamma_quantile_table(shape: int) -> np.ndarray:
     # log f(x) = (a - 1) log x - x - gammaln(a), with x = a (1 + e) and
     # Stirling's series for gammaln(a) - (a - 1/2) log a + a - log(2 pi) / 2.
     e = (x - a) / a
-    stirling = 1 / (12 * a) - 1 / (360 * a**3) + 1 / (1260 * a**5)
+    stirling = 1 / (12 * a) - a**-3 / 360 + a**-5 / 1260  # underflows, never overflows
     log_f = a * (np.log1p(e) - e) - np.log(x) + 0.5 * math.log(a / (2 * math.pi)) - stirling
     slope = np.abs(v) * np.exp(log_q - log_f) / _GAMMA_TABLE_SCALE
     x0, x1, s0, s1 = x[:-1], x[1:], slope[:-1], slope[1:]

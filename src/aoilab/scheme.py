@@ -428,9 +428,10 @@ def _run_batches(
     every sum is the same for any worker count; memory holds a few chunks
     per thread, whatever the session count.
 
-    Sums that leave the float64 range raise ``ValueError`` naming
-    ``rates``, the run's rates as text, once every chunk is in; numpy warns
-    of nothing on the way.
+    Sums that leave the float64 range, batch sums or their totals over the
+    run, raise ``ValueError`` naming ``rates``, the run's rates as text,
+    once every chunk is in; so does a batch whose sum of ``y^2`` is below
+    the smallest normal float64.  Numpy warns of nothing on the way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -486,7 +487,10 @@ def _run_batches(
             merge(reduce_chunk(lo))
     with np.errstate(over="ignore", invalid="ignore"):
         totals[0, 3] += prev_y * run_first_d
-    if not np.isfinite(totals).all():
+        # The run's totals are finite only when every batch sum is.
+        finite = np.isfinite(totals.sum(axis=0)).all()
+    # A batch whose y^2 underflow would lose the renewal half of the age.
+    if not finite or (totals[:, 1] < np.finfo(float).tiny).any():
         raise ValueError(f"the simulated sums at {rates} leave the float64 range")
     return SimulationRun(
         master_seed=master_seed,

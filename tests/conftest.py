@@ -3,10 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aoilab import scheme
 from aoilab.geometry import Topology
 from aoilab.sampling import fill_stream_rows
+
+# The command-line property test (test_cli_fuzz.py) at CI's example count.
+settings.register_profile("cli-fuzz", max_examples=2000)
 
 
 @pytest.fixture

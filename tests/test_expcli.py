@@ -566,6 +566,101 @@ class TestCli:
         assert reason in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv, rates",
+        [
+            # Each batch is finite; the total over the run overflows.
+            (["simulate", "--n", "64", "--m", "2", "--lambda-intra", "1e-151",
+              "--sessions", "100000"], "lambda_intra=1e-151, lambda_inter=1.0"),
+            (["baseline", "--n", "446", "--rate", "1e-150", "--sessions", "1370"],
+             "rate=1e-150"),
+            # Every y^2 underflows to 0, which would halve the age.
+            (["baseline", "--n", "52", "--rate", "1e300", "--sessions", "100000"],
+             "rate=1e+300"),
+        ],
+        ids=["simulate-total-overflow", "baseline-total-overflow", "baseline-underflow"],
+    )
+    def test_run_total_and_underflow_exit_2_without_warnings(self, argv, rates, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the simulated sums at {rates} leave the float64 range\n"
+        assert captured.out == ""
+
+    @staticmethod
+    def _printed(out: str) -> dict:
+        return {
+            key: float(value)
+            for key, _, value in (token.partition("=") for token in out.split())
+            if key.startswith(("delta_", "stderr"))
+        }
+
+    def test_small_sums_above_the_underflow_limit_run(self, capsys):
+        # y^2 near 3e-303: each batch sum stays a normal float64.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["baseline", "--n", "52", "--rate", "1e153", "--sessions", "100000"]
+            assert main(argv) == 0
+        got = self._printed(capsys.readouterr().out)
+        assert got["delta_closed_form"] == 5.3e-152
+        assert abs(got["delta_sim"] - 5.3e-152) <= 5 * got["stderr"]
+
+    @pytest.mark.parametrize(
+        "argv, within",
+        [
+            (["baseline", "--n", str(10**62), "--sessions", "10000"], 8),
+            (["baseline", "--n", str(10**99), "--sessions", "10000"], 8),
+            # Every batch agrees to the last bit, so the standard error is 0.
+            (["simulate", "--n", str(2 * 10**70), "--m", "2", "--sessions", "10000"], 0),
+        ],
+        ids=["baseline-1e62", "baseline-1e99", "simulate-2e70"],
+    )
+    def test_gamma_shapes_past_stirling_overflow_run(self, argv, within, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        got = self._printed(capsys.readouterr().out)
+        closed = got.get("delta_closed_form", got.get("delta_analytic"))
+        estimate = got.get("delta_sim", got.get("delta_moment"))
+        assert abs(estimate - closed) <= within * got["stderr"] + 1e-12 * closed
+
+    def test_topology_refuses_infinite_area_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "inf-area"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["topology", "--n", "400", "--m", "4", "--area", "inf", "--out", str(out_dir)]
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: area must be finite and > 0, got inf\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_failed_allocation_exits_2(self):
+        # The process caps its own address space at 3 GiB; the first chunk of
+        # exact rows then asks numpy for 8 GiB, which fails at once.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
+            "from aoilab.expcli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(aoilab.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        argv = ["simulate", "--n", "268435456", "--m", "16384", "--variant", "exact",
+                "--sessions", "2"]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: Unable to allocate 8.00 GiB"), result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "--n", str(10**400), "--b", "0.25"],
@@ -694,6 +789,14 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), *flag, "--out", str(out)]) == 1
         assert f"({flag[0]})" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_config_refusal_lists_flags_in_table_order(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_grid": [64, 256, 1024], "sessions": 1000}')
+        argv = ["sweep", "--config", str(cfg), "--lambda-intra", "2", "--b", "0.3",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "inline sweep flags (--b, --lambda-intra)\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["64,abc", "64.9,256"])
     def test_sweep_n_grid_flag_takes_integers(self, grid, tmp_path, capsys):

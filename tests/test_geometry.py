@@ -23,6 +23,7 @@ from aoilab.geometry import (
     same_cell_transmissions,
     tdma_groups,
     write_topology_csv,
+    write_violations_csv,
 )
 from aoilab.sampling import StreamSpec, make_stream
 
@@ -190,6 +191,15 @@ class TestPlacement:
             place_nodes(0, 1.0, stream)
         with pytest.raises(ValueError):
             place_nodes(5, -1.0, stream)
+
+    @pytest.mark.parametrize("area", [math.inf, math.nan, 0.0])
+    def test_refuses_area_not_finite_and_positive(self, area):
+        stream = make_stream(StreamSpec(0, 0))
+        reason = f"area must be finite and > 0, got {area}"
+        with pytest.raises(ValueError, match=reason):
+            place_nodes(5, area, stream)
+        with pytest.raises(ValueError, match=reason):
+            build_cells(100, 4, area)
 
 
 class TestBuildCells:
@@ -652,3 +662,19 @@ class TestTopologyCsv:
         assert np.array_equal(loaded.positions, topo.positions)
         assert np.array_equal(loaded.cell_of, topo.cell_of)
         assert np.array_equal(loaded.pairing, topo.pairing)
+
+    def test_empty_columns_and_float_cells(self, tmp_path):
+        # No cells or pairing: empty cells.  Floats are written by repr.
+        topo = Topology(area_side=1.0, positions=np.array([[0.1, 1 / 3], [2.0**-1074, 1.0]]))
+        path = tmp_path / "topology.csv"
+        write_topology_csv(topo, path)
+        assert path.read_text() == (
+            "node_id,x,y,cell_id,dest_id\n0,0.1,0.3333333333333333,,\n1,5e-324,1.0,,\n"
+        )
+        violation = Violation(3, 1, 2, d_own=0.5, d_interferer=0.6, margin=-0.1 / 3)
+        path = tmp_path / "violations.csv"
+        write_violations_csv([violation], 0.25, path)
+        assert path.read_text() == (
+            "receiver,transmitter,interferer,d_ji,d_jk,gamma,margin\n"
+            "3,1,2,0.5,0.6,0.25,-0.03333333333333333\n"
+        )

@@ -271,6 +271,13 @@ class TestGammaFromUniform:
         want = gammaincinv(float(shape), np.maximum(u, _TINY_UNIFORM))
         assert np.max(np.abs(gamma_from_uniform(u, shape) / want - 1)) <= 1e-8
 
+    @pytest.mark.parametrize("shape", [10**62, 10**99, 10**308], ids=["1e62", "1e99", "1e308"])
+    def test_shapes_past_stirling_overflow_give_the_shape(self, shape):
+        # a**3 and a**5 would overflow above about 4.5e61; a**-3 and a**-5
+        # underflow to 0.  The spread, a^(-1/2) relative, is below an ulp.
+        u = self._uniforms(8)[::100]
+        assert np.all(gamma_from_uniform(u, shape) == float(shape))
+
     @pytest.mark.parametrize("shape", [15, 8, 1, 0, -3])
     def test_small_shapes_raise_naming_the_limit(self, shape):
         with pytest.raises(ValueError, match="shape >= 16"):
