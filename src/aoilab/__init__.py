@@ -29,7 +29,6 @@ from .scheme import (
     AgeEstimate,
     DeliveryMode,
     MomentSummary,
-    SessionSample,
     SimulationRun,
     Variant,
     estimate_age_moment_formula,
@@ -47,7 +46,6 @@ __all__ = [
     "OrderStatMoments",
     "PhaseMoments",
     "SchemeParams",
-    "SessionSample",
     "SimulationRun",
     "StreamSpec",
     "Variant",

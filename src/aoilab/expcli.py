@@ -341,13 +341,12 @@ class SlopeFit:
     """Least-squares power-law fit on (log n, log value).
 
     ``exponent`` is the plain slope; ``log_corrected_exponent`` the slope
-    after dividing out the log n factor (``exponent``'s intercept and
-    ``r_squared`` belong to the plain fit).
+    after dividing out the log n factor (``r_squared`` belongs to the plain
+    fit).
     """
 
     column: str
     exponent: float
-    intercept: float
     r_squared: float
     fit_range: tuple[int, int]
     log_corrected_exponent: float
@@ -364,7 +363,7 @@ def fit_slope(rows: Sequence[SweepRow], column: str) -> SlopeFit:
     if np.any(ns < 2):
         raise ValueError(f"the log-corrected fit needs n >= 2, got n = {int(ns.min())}")
 
-    def _least_squares(y: np.ndarray) -> tuple[float, float, float]:
+    def _least_squares(y: np.ndarray) -> tuple[float, float]:
         x = np.log(ns)
         design = np.column_stack([x, np.ones_like(x)])
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -372,15 +371,14 @@ def fit_slope(rows: Sequence[SweepRow], column: str) -> SlopeFit:
         ss_res = float(np.sum((y - predicted) ** 2))
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        return float(slope), float(intercept), r_sq
+        return float(slope), r_sq
 
     log_v = np.log(values)
     corrected_slope = _least_squares(log_v - np.log(np.log(ns)))[0]
-    slope, intercept, r_squared = _least_squares(log_v)
+    slope, r_squared = _least_squares(log_v)
     return SlopeFit(
         column=column,
         exponent=slope,
-        intercept=intercept,
         r_squared=r_squared,
         fit_range=(int(ns.min()), int(ns.max())),
         log_corrected_exponent=corrected_slope,

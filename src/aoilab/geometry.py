@@ -36,6 +36,8 @@ _BUCKET_MARGIN = 2.0**-20
 _BUCKET_KEY = np.array([2.0**26, 1.0])
 _NEIGHBOURS = np.array([dx * 2.0**26 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 _RUN = np.array([0.0, 0.5])  # searchsorted edges of the entries under one key
+_FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,34 @@ class Topology:
         return replace(self, grid=grid, cell_of=cell_index(grid, self.positions))
 
 
+def _square_side(area: float) -> float:
+    """Side of the square of ``area``.  Squared distances across the square
+    reach twice its area, so an area above half the largest float64 is
+    refused as well as one that is not finite and positive."""
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be finite and > 0, got {area}")
+    if area > _FLOAT_MAX / 2:
+        raise ValueError(
+            f"area must be at most {_FLOAT_MAX / 2!r}, half the largest float64, "
+            f"so that squared distances stay finite; got {area}"
+        )
+    return math.sqrt(area)
+
+
 def place_nodes(n: int, area: float, stream: np.random.Generator) -> Topology:
     """n points uniform and independent on the square of the given area."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not 0 < area < math.inf:
-        raise ValueError(f"area must be finite and > 0, got {area}")
-    side = math.sqrt(area)
+    side = _square_side(area)
     return Topology(area_side=side, positions=stream.random((int(n), 2)) * side)
 
 
 def build_cells(n: int, m: int, area: float) -> CellGrid:
     """Grid of n/m equal square cells of side sqrt(area * m / n).
 
-    n/m must be a perfect square for the grid to tile the square area.
+    n/m must be a perfect square for the grid to tile the square area, and
+    a cell's area must be at least the smallest normal float64: squared
+    distances within a smaller cell round to subnormals or to 0.
     """
     if n < 1 or m < 1 or n % m != 0:
         raise ValueError(f"need m dividing n, got n={n}, m={m}")
@@ -100,9 +116,13 @@ def build_cells(n: int, m: int, area: float) -> CellGrid:
             f"n/m = {cells} cells cannot tile a square grid; pick m so that "
             f"n/m is a perfect square (e.g. m={n // (per_side * per_side)})"
         )
-    if not 0 < area < math.inf:
-        raise ValueError(f"area must be finite and > 0, got {area}")
-    return CellGrid(area_side=math.sqrt(area), cells_per_side=per_side)
+    side = _square_side(area)
+    if area / cells < _FLOAT_TINY:
+        raise ValueError(
+            f"area {area} over {cells} cells gives each cell an area below the "
+            f"smallest normal float64, {_FLOAT_TINY!r}"
+        )
+    return CellGrid(area_side=side, cells_per_side=per_side)
 
 
 def cell_index(grid: CellGrid, points: np.ndarray) -> np.ndarray:

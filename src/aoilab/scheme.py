@@ -15,6 +15,11 @@ delivery wait, at the price of occasionally placing the delivery after the
 session end) and ``coupled`` reuses the tagged cell's own draw from that
 round, which guarantees delivery-before-session-end on every path.
 
+:func:`sample_coupled_sessions` draws (exact, worsened) pairs from one
+row each: an exact row followed by one uniform per phase-one round, so the
+worsened variant's bound on the exact one is checked session by session
+on the rows the exact kernel draws.
+
 Sessions are i.i.d.; session ``s`` of a run draws the ``s``-th row of
 the run's counter window (see :mod:`aoilab.sampling`), so results are
 independent of worker count and any session replays through
@@ -54,23 +59,6 @@ class Variant(str, Enum):
 class DeliveryMode(str, Enum):
     INDEPENDENT = "independent"
     COUPLED = "coupled"
-
-
-@dataclass(frozen=True)
-class SessionSample:
-    """One session: phase durations, delivery delay, and totals.
-
-    ``d = y1 + y2 + z`` is the tagged pair's delivery delay and
-    ``y = y1 + y2 + y3`` the session length.  Under coupled delivery
-    ``d <= y`` on every path.
-    """
-
-    y1: float
-    y2: float
-    y3: float
-    z: float
-    d: float
-    y: float
 
 
 class MomentSummary(NamedTuple):
@@ -168,6 +156,12 @@ def _phase_two(u2: np.ndarray, params: SchemeParams) -> np.ndarray:
     return g.sum(axis=-1) / rate
 
 
+def _columns(y1, y2, y3, z) -> dict:
+    """A session's phases with its delivery delay ``d = y1 + y2 + z`` and
+    length ``y = y1 + y2 + y3``."""
+    return {"y1": y1, "y2": y2, "y3": y3, "z": z, "d": y1 + y2 + z, "y": y1 + y2 + y3}
+
+
 def _worsened_width(params: SchemeParams) -> int:
     return 2 * params.m + _phase_two_width(params) + 3
 
@@ -206,10 +200,7 @@ def _worsened_kernel(u: np.ndarray, params: SchemeParams, mode: DeliveryMode) ->
         tail = csum[:, -1] - at_j
         y3 = (wait + round_j) + tail
         z = wait + own
-
-    d = y1 + y2 + z
-    y = y1 + y2 + y3
-    return {"y1": y1, "y2": y2, "y3": y3, "z": z, "d": d, "y": y}
+    return _columns(y1, y2, y3, z)
 
 
 def _exact_width(params: SchemeParams) -> int:
@@ -217,39 +208,46 @@ def _exact_width(params: SchemeParams) -> int:
     return p1 + _phase_two_width(params) + params.n + 1
 
 
-def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
+def _exact_draws(u: np.ndarray, params: SchemeParams) -> tuple:
+    """The transforms of an exact row: each cell's phase-one round maxima
+    (``(sessions, cells, m)``, rounds last; ``None`` at m = 1, where phase
+    one is empty), phase two, each cell's phase-three relays (``(sessions,
+    cells, m)``, rounds last) and the tagged round ``j``.  Round ``r`` of a
+    cell's phase one is the max of the ``m - 1`` draws of its broadcast to
+    the cell's other nodes.  Only the row's first ``_exact_width`` uniforms
+    are read."""
     n, m, cells = params.n, params.m, params.cells
     lam = params.lambda_intra
     w2 = _phase_two_width(params)
     sessions = u.shape[0]
 
     p1 = 0 if m == 1 else n
-    if m == 1:
-        y1 = np.zeros(sessions)
-    else:
-        u1 = u[:, :p1].reshape(sessions, cells, m)
-        cell_totals = max_exp_from_uniform(u1, m - 1, lam).sum(axis=2)
-        y1 = cell_totals.max(axis=1)
-
+    rounds1 = None if m == 1 else max_exp_from_uniform(
+        u[:, :n].reshape(sessions, cells, m), m - 1, lam
+    )
     y2 = _phase_two(u[:, p1 : p1 + w2], params)
-
     relays = exp_from_uniform(
         u[:, p1 + w2 : p1 + w2 + n].reshape(sessions, cells, m), lam
     )
+    j = np.minimum((u[:, p1 + w2 + n] * m).astype(np.int64), m - 1)
+    return rounds1, y2, relays, j
+
+
+def _exact_columns(rounds1, y2, relays, j) -> dict:
+    """Columns of the exact scheme from the draws of :func:`_exact_draws`."""
+    y1 = np.zeros(y2.shape) if rounds1 is None else rounds1.sum(axis=2).max(axis=1)
     # Per-cell totals come from the same running sums as z below, so
     # z <= y3 holds exactly in floating point.
     run_sums = np.cumsum(relays, axis=2)
     y3 = run_sums[:, :, -1].max(axis=1)
-
     # Tagged destination sits in cell 0 (cells are exchangeable); its packet
     # is relayed at a uniform position, so z sums that cell's first j+1 hops.
-    ju = u[:, -1]
-    j = np.minimum((ju * m).astype(np.int64), m - 1)
     z = np.take_along_axis(run_sums[:, 0, :], j[:, None], axis=1)[:, 0]
+    return _columns(y1, y2, y3, z)
 
-    d = y1 + y2 + z
-    y = y1 + y2 + y3
-    return {"y1": y1, "y2": y2, "y3": y3, "z": z, "d": d, "y": y}
+
+def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
+    return _exact_columns(*_exact_draws(u, params))
 
 
 _ROUND_ROBIN_WIDTH = 3
@@ -300,61 +298,50 @@ def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
 
 
 def sample_coupled_sessions(
-    params: SchemeParams, stream: np.random.Generator
-) -> tuple[SessionSample, SessionSample]:
-    """Draw one (exact, worsened) pair from a shared pool of draws.
+    params: SchemeParams,
+    sessions: int,
+    *,
+    master_seed: int = 0,
+    base_stream_index: int = 0,
+) -> tuple[dict, dict]:
+    """``(exact, worsened)`` columns ``y1, y2, y3, z, d, y`` of ``sessions``
+    pairs, each pair drawn from one row of the run's counter window.
 
-    Each phase-one round holds one draw per (cell, receiver) plus a top-up
-    max so the worsened round is a genuine max over n draws; the exact
-    scheme reads only its own cell's subset.  By construction
-    ``exact.y1 <= worsened.y1`` and ``exact.y3 <= worsened.y3`` hold on
-    every sample path, not merely in expectation.
+    A coupled row is an exact row followed by ``m`` uniforms, one for each
+    phase-one round, so ``session_stream(master_seed, base_stream_index, s,
+    _exact_width(params) + m)`` replays pair ``s``, and the exact half is
+    :func:`_exact_kernel` of the row's exact part.  The worsened half reads
+    the same draws.  Its phase-one round is the max of the cells' round
+    maxima and of one max of the ``n / m`` draws the bound adds, from the
+    round's extra uniform; at m = 1 that is the whole round, a max of ``n``
+    draws.  Its phase-three round is the max of the cells' relays, and the
+    tagged packet arrives with its own cell's relay in round ``j``.  Phase
+    two is shared.  ``exact.y1 <= worsened.y1``, ``exact.y3 <= worsened.y3``
+    and ``z <= y3`` then hold on every path, in floating point too: both
+    sides of each phase are sums over rounds taken in the same order.
+
+    Every row is held at once, with a few ``(sessions, n)`` float64 arrays
+    of draws (10^4 pairs at (256, 8) peak near 160 MB), so this is for
+    checks of modest size, not for long runs.
     """
-    n, m, cells = params.n, params.m, params.cells
-    if m < 2:
-        raise ValueError("coupled sampling needs m >= 2 (phase one is empty at m = 1)")
-    lam = params.lambda_intra
+    m, cells = params.m, params.cells
+    width = _exact_width(params) + m
+    stream_window(base_stream_index, sessions, width)  # raises before any work
+    u = fill_stream_rows(master_seed, base_stream_index, 0, sessions, width)
+    rounds1, y2, relays, j = draws = _exact_draws(u, params)
 
-    # Phase one: m rounds x cells x (m - 1) receivers, plus one top-up max
-    # per round covering the n - cells*(m-1) = n/m draws the bound adds.
-    pool1 = exp_from_uniform(stream.random((m, cells, m - 1)), lam)
-    topup = max_exp_from_uniform(stream.random(m), cells, lam)
-    worsened_rounds1 = np.maximum(pool1.max(axis=(1, 2)), topup)
-    worsened_y1 = float(worsened_rounds1.sum())
-    exact_y1 = float(pool1.max(axis=2).sum(axis=0).max())
-
-    # Phase two is shared verbatim (it is not worsened).
-    y2 = float(_phase_two(stream.random(_phase_two_width(params)), params))
-
-    # Phase three: m rounds x cells, one relay per cell per round.  Totals
-    # are taken from running sums so each z <= y3 exactly in floating point.
-    pool3 = exp_from_uniform(stream.random((m, cells)), lam)
-    rounds3 = np.cumsum(pool3.max(axis=1))
-    cell_sums = np.cumsum(pool3, axis=0)
-    worsened_y3 = float(rounds3[-1])
-    exact_y3 = float(cell_sums[-1].max())
-
-    j = min(int(stream.random() * m), m - 1)
-    exact_z = float(cell_sums[j, 0])
-    worsened_z = float((rounds3[j - 1] if j > 0 else 0.0) + pool3[j, 0])
-
-    exact = SessionSample(
-        y1=exact_y1,
-        y2=y2,
-        y3=exact_y3,
-        z=exact_z,
-        d=exact_y1 + y2 + exact_z,
-        y=exact_y1 + y2 + exact_y3,
-    )
-    worsened = SessionSample(
-        y1=worsened_y1,
-        y2=y2,
-        y3=worsened_y3,
-        z=worsened_z,
-        d=worsened_y1 + y2 + worsened_z,
-        y=worsened_y1 + y2 + worsened_y3,
-    )
-    return exact, worsened
+    # One max over the n / m added draws a round: a max over all n draws of
+    # it with the cells' round maxima.  Both halves sum rounds over a
+    # contiguous last axis of length m, so numpy sums them with one tree.
+    rounds = max_exp_from_uniform(u[:, -m:], cells, params.lambda_intra)
+    if rounds1 is not None:
+        rounds = np.maximum(rounds1.max(axis=1), rounds)
+    # Phase three from running sums over rounds, like the exact half's.
+    csum = np.cumsum(relays.max(axis=1), axis=1)
+    wait = np.take_along_axis(csum, np.maximum(j - 1, 0)[:, None], axis=1)[:, 0]
+    own = np.take_along_axis(relays[:, 0, :], j[:, None], axis=1)[:, 0]
+    z = np.where(j > 0, wait, 0.0) + own
+    return _exact_columns(*draws), _columns(rounds.sum(axis=1), y2, csum[:, -1], z)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ examples instead of 300.
 
 import io
 import math
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -37,7 +38,9 @@ nodes = _mostly(
     st.sampled_from([-1, 0, 1, 2**53 - 1, 2**53 + 1, 2**64, 10**62, 10**308]),
 )
 cells = st.integers(-1, 64)
-positive = _mostly(st.floats(5e-324, 1e300), st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+positive = _mostly(
+    st.floats(5e-324, sys.float_info.max), st.sampled_from([0.0, -1.0, math.nan, math.inf])
+)
 exponents = _mostly(st.floats(0.0, 1.0, exclude_min=True), st.floats())
 seeds = st.integers(0, 2**64 - 1)
 sessions = _mostly(st.integers(1000, 5000), st.integers(0, 999) | st.just(10**30))

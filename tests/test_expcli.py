@@ -1,5 +1,6 @@
 """Sweep harness, slope fitting, report emission, and the CLI surface."""
 
+import csv
 import json
 import logging
 import math
@@ -634,6 +635,46 @@ class TestCli:
         assert captured.err == "error: area must be finite and > 0, got inf\n"
         assert captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # Squared distances within a cell would underflow to 0.
+            (["--n", "400", "--m", "4", "--area", "1e-320"],
+             "error: area 1e-320 over 100 cells gives each cell an area below"),
+            # Squared distances across the square would overflow.
+            (["--n", "17", "--m", "17", "--area", "1.0875505125363772e+308",
+              "--allow-same-cell"],
+             "error: area must be at most 8.988465674311579e+307"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_topology_refuses_area_outside_float_range(self, flags, reason, tmp_path, capsys):
+        out_dir = tmp_path / "area"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["topology", *flags, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(reason), captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("area", ["1e-300", "8.9e307"])
+    def test_topology_at_the_ends_of_the_area_range_pairs_as_at_area_one(
+        self, area, tmp_path, capsys
+    ):
+        # Scaling the square changes no cell and no destination.
+        outputs = {}
+        for value in ("1", area):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                argv = ["topology", "--n", "400", "--m", "4", "--gamma", "3", "--area", value,
+                        "--out", str(tmp_path / value)]
+                assert main(argv) == 0
+            assert "violations=158" in capsys.readouterr().out.splitlines()
+            with open(tmp_path / value / "topology.csv", newline="") as fh:
+                outputs[value] = [(r["cell_id"], r["dest_id"]) for r in csv.DictReader(fh)]
+        assert outputs[area] == outputs["1"]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     def test_failed_allocation_exits_2(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -201,8 +202,28 @@ class TestPlacement:
         with pytest.raises(ValueError, match=reason):
             build_cells(100, 4, area)
 
+    def test_refuses_area_whose_squared_distances_overflow(self):
+        # Points across the square lie up to sqrt(2 area) apart.
+        half_max = sys.float_info.max / 2
+        stream = make_stream(StreamSpec(0, 0))
+        assert place_nodes(5, half_max, stream).area_side == math.sqrt(half_max)
+        assert build_cells(16, 16, half_max).area_side == math.sqrt(half_max)
+        for area in (math.nextafter(half_max, math.inf), sys.float_info.max):
+            with pytest.raises(ValueError, match="area must be at most"):
+                place_nodes(5, area, stream)
+            with pytest.raises(ValueError, match="area must be at most"):
+                build_cells(16, 16, area)
+
 
 class TestBuildCells:
+    def test_refuses_cells_below_the_smallest_normal_area(self):
+        tiny = sys.float_info.min
+        assert build_cells(400, 4, 100 * tiny).num_cells == 100
+        with pytest.raises(ValueError, match="gives each cell an area below"):
+            build_cells(400, 4, math.nextafter(100 * tiny, 0.0))
+        with pytest.raises(ValueError, match="gives each cell an area below"):
+            build_cells(400, 4, 1e-316)
+
     def test_reference_grid(self):
         grid = build_cells(100, 4, 1.0)
         assert grid.num_cells == 25

@@ -223,32 +223,71 @@ class TestExactSampler:
         )
 
 
+def _assert_pathwise_bounds(exact, worsened):
+    assert np.all(exact["y1"] <= worsened["y1"])
+    assert np.all(exact["y3"] <= worsened["y3"])
+    for half in (exact, worsened):
+        assert np.all(half["z"] <= half["y3"])
+        assert np.all(half["d"] <= half["y"])
+
+
 class TestCoupledSessions:
     def test_pathwise_bounds_hold_everywhere(self):
-        params = SchemeParams(64, 4)
-        stream = make_stream(StreamSpec(301, 0))
-        for _ in range(3_000):
-            exact, worsened = sample_coupled_sessions(params, stream)
-            assert exact.y1 <= worsened.y1
-            assert exact.y3 <= worsened.y3
-            assert exact.d <= exact.y
-            assert worsened.d <= worsened.y
+        for n, m, sessions in [(64, 4, 3_000), (16, 1, 3_000), (4096, 8, 300)]:
+            _assert_pathwise_bounds(
+                *sample_coupled_sessions(SchemeParams(n, m), sessions, master_seed=301)
+            )
 
-    def test_marginal_means_match_uncoupled(self, session_columns):
+    def test_m1_has_empty_exact_phase_one(self):
+        # At m = 1 the worsened round is the top-up max over all n draws.
+        exact, worsened = sample_coupled_sessions(SchemeParams(8, 1), 3_000, master_seed=304)
+        assert np.all(exact["y1"] == 0.0)
+        assert np.all(worsened["y1"] > 0.0)
+        _assert_pathwise_bounds(exact, worsened)
+
+    @pytest.mark.parametrize("n, m", [(64, 4), (16, 1)])
+    def test_exact_half_is_the_exact_kernel(self, n, m):
+        # A coupled row is an exact row followed by m uniforms; each pair
+        # replays from its own stream, and its exact half is the exact
+        # kernel of the row's exact part, bit for bit.
+        params = SchemeParams(n, m)
+        sessions, width = 50, _exact_width(params) + m
+        exact, _ = sample_coupled_sessions(
+            params, sessions, master_seed=305, base_stream_index=2
+        )
+        for s in (0, 1, sessions - 1):
+            row = session_stream(305, 2, s, width).random(width)[None, : _exact_width(params)]
+            for name, col in _exact_kernel(row, params).items():
+                assert col[0] == exact[name][s], (s, name)
+
+    def test_exact_phase_one_matches_per_receiver_draws(self, session_columns):
+        # Brute force: every broadcast of every cell draws one exponential
+        # per receiver; a round lasts until its slowest receiver, a cell
+        # until its last round, and phase one until the slowest cell.
         params = SchemeParams(64, 4)
-        stream = make_stream(StreamSpec(302, 0))
-        pairs = [sample_coupled_sessions(params, stream) for _ in range(20_000)]
-        w_y1 = np.array([w.y1 for _, w in pairs])
-        e_y1 = np.array([e.y1 for e, _ in pairs])
+        m, cells, sessions = params.m, params.cells, 20_000
+        draws = exp_from_uniform(
+            make_stream(StreamSpec(302, 0)).random((sessions, cells, m, m - 1)),
+            params.lambda_intra,
+        )
+        brute = draws.max(axis=3).sum(axis=2).max(axis=1)
+        kernel = session_columns(params, sessions, variant=Variant.EXACT, master_seed=303).y1
+        se = np.hypot(_se(brute), _se(kernel))
+        assert abs(brute.mean() - kernel.mean()) < 4 * se
+
+    @pytest.mark.parametrize("n, m", [(64, 4), (64, 1)])
+    def test_worsened_half_has_the_worsened_law(self, n, m, session_columns):
+        params = SchemeParams(n, m)
+        _, worsened = sample_coupled_sessions(params, 20_000, master_seed=306)
         pm = phase_moments(params)
-        assert abs(w_y1.mean() - pm.e_y1) < 4 * _se(w_y1)
-        uncoupled = session_columns(params, 20_000, variant=Variant.EXACT, master_seed=303)
-        se = np.hypot(_se(e_y1), _se(uncoupled.y1))
-        assert abs(e_y1.mean() - uncoupled.y1.mean()) < 4 * se
-
-    def test_requires_m_at_least_two(self):
-        with pytest.raises(ValueError):
-            sample_coupled_sessions(SchemeParams(8, 1), make_stream(StreamSpec(0, 0)))
+        for name, expected in [("y1", pm.e_y1), ("y3", pm.e_y3), ("z", pm.e_z)]:
+            col = worsened[name]
+            assert abs(col.mean() - expected) < 4 * _se(col), name
+        kernel = session_columns(
+            params, 20_000, delivery=DeliveryMode.COUPLED, master_seed=307
+        )
+        for name in ("y", "d"):
+            assert ks_2samp(worsened[name], getattr(kernel, name)).pvalue > 1e-3, name
 
 
 class TestWorsenedDelivery:
@@ -330,15 +369,9 @@ class TestPhaseTwo:
                 )
 
     def test_coupled_sessions_keep_pathwise_bounds(self):
-        params = SchemeParams(4096, 8)
-        stream = make_stream(StreamSpec(416, 0))
-        for _ in range(300):
-            exact, worsened = sample_coupled_sessions(params, stream)
-            assert exact.y2 == worsened.y2
-            assert exact.y1 <= worsened.y1
-            assert exact.y3 <= worsened.y3
-            assert exact.d <= exact.y
-            assert worsened.d <= worsened.y
+        exact, worsened = sample_coupled_sessions(SchemeParams(4096, 8), 300, master_seed=416)
+        assert np.array_equal(exact["y2"], worsened["y2"])
+        _assert_pathwise_bounds(exact, worsened)
 
 
 class TestMomentSummary:
