@@ -79,8 +79,8 @@ def order_stat_moments(k: int, n: int, rate: float) -> OrderStatMoments:
         raise ValueError("k and n must be integers")
     if k < 1 or k > n:
         raise ValueError(f"require 1 <= k <= n, got k={k}, n={n}")
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
     mean = (harmonic(int(n)) - harmonic(int(n - k))) / rate
     variance = (gen_harmonic(int(n)) - gen_harmonic(int(n - k))) / (rate * rate)
     return OrderStatMoments(mean=mean, variance=variance, second_moment=variance + mean * mean)

@@ -5,7 +5,7 @@ Subcommands: ``analyze`` (closed forms for one parameter set),
 estimate when every session delivers within itself), ``sweep`` (parameter
 sweeps with slope fits and CSV/report emission), ``topology`` (placement,
 pairing, 9-TDMA grouping, and protocol-model checking), ``baseline``
-(turn-taking reference model).
+(turn-taking reference model).  Every output file is written here.
 
 Exit codes: 0 success, 1 usage error, 2 infeasibility or validation
 failure, 3 I/O failure.
@@ -21,7 +21,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,14 +30,14 @@ import numpy as np
 from .analytics import AgeBreakdown, closed_form_age, scaling_exponent
 from .geometry import (
     GUARD_ZONE_LIMIT,
+    Topology,
+    Violation,
     assign_pairs,
     build_cells,
     check_protocol_model,
     place_nodes,
     same_cell_transmissions,
     tdma_groups,
-    write_topology_csv,
-    write_violations_csv,
 )
 from .params import SchemeParams, node_count_float
 from .sampling import StreamSpec, make_stream
@@ -207,8 +207,10 @@ class SweepConfig:
             raise ValueError(f"b must lie in (0, 1], got {self.b}")
         if self.sessions < 1000:
             raise ValueError(f"sessions must be >= 1000, got {self.sessions}")
-        if not self.lambda_intra > 0 or not self.lambda_inter > 0:
-            raise ValueError("rates must be > 0")
+        for name in ("lambda_intra", "lambda_inter"):
+            rate = getattr(self, name)
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {rate}")
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -230,6 +232,7 @@ def load_sweep_config(path) -> SweepConfig:
         raise ValueError(f"config {path}: {exc}") from exc
 
 
+# A sweep.csv row: its fields are SWEEP_CSV_COLUMNS in order, column M spelled m.
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -242,11 +245,6 @@ class SweepRow:
     delta_timeline: float | None = None
     delta_baseline: float | None = None
     wall_time_s: float | None = None
-
-
-# SweepRow field of each sweep CSV column; the only rename is M -> m.
-_CSV_FIELDS = {column: "m" if column == "M" else column for column in SWEEP_CSV_COLUMNS}
-_OPTIONAL_FIELDS = {f.name for f in fields(SweepRow) if f.default is None}
 
 
 def _cells_for(n: int, b: float) -> int:
@@ -385,34 +383,29 @@ def fit_slope(rows: Sequence[SweepRow], column: str) -> SlopeFit:
     )
 
 
-def _parse_cell(field: str, text: str):
-    """A sweep CSV cell as the value of its SweepRow ``field``; only the
-    fields that default to None may be empty."""
-    if not text and field in _OPTIONAL_FIELDS:
-        return None
-    return int(text) if field in ("n", "m", "sessions") else float(text)
-
-
-def write_rows_csv(rows: Sequence[SweepRow], path) -> None:
+def _write_table(path, header: Sequence[str], rows) -> None:
     # csv writes None as an empty cell and a float by repr.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        writer.writerows([getattr(row, field) for field in _CSV_FIELDS.values()] for row in rows)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_rows_csv(path) -> list[SweepRow]:
-    rows: list[SweepRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SWEEP_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected sweep CSV header {reader.fieldnames}")
-        for record in reader:
-            rows.append(SweepRow(**{
-                field: _parse_cell(field, record[column])
-                for column, field in _CSV_FIELDS.items()
-            }))
-    return rows
+def write_topology_csv(topology: Topology, path) -> None:
+    n = topology.n
+    columns = [range(n), *topology.positions.T.tolist()]
+    for column in (topology.cell_of, topology.pairing):
+        columns.append([None] * n if column is None else column.tolist())
+    _write_table(path, ["node_id", "x", "y", "cell_id", "dest_id"], zip(*columns))
+
+
+def write_violations_csv(violations: list[Violation], gamma: float, path) -> None:
+    _write_table(
+        path,
+        ["receiver", "transmitter", "interferer", "d_ji", "d_jk", "gamma", "margin"],
+        ([v.receiver, v.transmitter, v.interferer, v.d_own, v.d_interferer, gamma, v.margin]
+         for v in violations),
+    )
 
 
 def emit_report(
@@ -425,7 +418,7 @@ def emit_report(
     try:
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "sweep.csv"
-        write_rows_csv(rows, csv_path)
+        _write_table(csv_path, SWEEP_CSV_COLUMNS, map(astuple, rows))
         summary_path = out / "summary.txt"
         lines = [f"points: {len(rows)}"]
         if not fits:

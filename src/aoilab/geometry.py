@@ -20,12 +20,13 @@ blocks, so its memory stays linear in the number of links.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+from .params import integer_at_least
 
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
 _PAIR_BLOCK = 4096  # node pairs per block of the protocol and farthest-pair checks
@@ -94,10 +95,9 @@ def _square_side(area: float) -> float:
 
 def place_nodes(n: int, area: float, stream: np.random.Generator) -> Topology:
     """n points uniform and independent on the square of the given area."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = integer_at_least("n", n, 1)
     side = _square_side(area)
-    return Topology(area_side=side, positions=stream.random((int(n), 2)) * side)
+    return Topology(area_side=side, positions=stream.random((n, 2)) * side)
 
 
 def build_cells(n: int, m: int, area: float) -> CellGrid:
@@ -447,27 +447,3 @@ def corner_case_witness(area: float = 1.0, cells_per_side: int = 5) -> tuple[Top
     )
     topo = Topology(area_side=grid.area_side, positions=positions).with_cells(grid)
     return topo, [(0, 1), (2, 3)]
-
-
-def write_topology_csv(topology: Topology, path) -> None:
-    n = topology.n
-    columns = [range(n), *topology.positions.T.tolist()]
-    for column in (topology.cell_of, topology.pairing):
-        columns.append([None] * n if column is None else column.tolist())
-    # csv writes None as an empty cell and a float by repr.
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "x", "y", "cell_id", "dest_id"])
-        writer.writerows(zip(*columns))
-
-
-def write_violations_csv(violations: list[Violation], gamma: float, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["receiver", "transmitter", "interferer", "d_ji", "d_jk", "gamma", "margin"]
-        )
-        writer.writerows(
-            [v.receiver, v.transmitter, v.interferer, v.d_own, v.d_interferer, gamma, v.margin]
-            for v in violations
-        )

@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+
+
+def integer_at_least(name: str, value, minimum: int, why: str = "") -> int:
+    """``value`` as an ``int``, or ValueError unless it is a Python or numpy
+    integer, not a bool, of at least ``minimum`` (``why`` follows the bound)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}{why}, got {value}")
+    return int(value)
 
 
 def node_count_float(n: int) -> float:
@@ -33,15 +44,10 @@ class SchemeParams:
     lambda_inter: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(
-                f"n must be >= 2 (a node is never its own destination), got {self.n}"
-            )
-        node_count_float(self.n)
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        n = integer_at_least("n", self.n, 2, " (a node is never its own destination)")
+        node_count_float(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", integer_at_least("m", self.m, 1))
         if self.m > self.n:
             raise ValueError(f"m={self.m} exceeds n={self.n}")
         if self.n % self.m != 0:

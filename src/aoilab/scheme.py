@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .params import SchemeParams, node_count_float
+from .params import SchemeParams, integer_at_least, node_count_float
 from .sampling import (
     _GAMMA_TABLE_MIN_SHAPE,
     _TINY_UNIFORM,
@@ -541,11 +541,10 @@ def simulate_round_robin(
     """Simulate the turn-taking baseline: ``n`` slots a session, one pair
     served per slot, each slot exponential with ``rate``; the tagged pair
     holds a uniform slot (see :func:`_round_robin_kernel`)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = integer_at_least("n", n, 1)
     if not 0 < rate < np.inf:
         raise ValueError(f"rate must be finite and > 0, got {rate}")
-    n, rate = int(n), float(rate)
+    rate = float(rate)
     node_count_float(n)
     return _run_batches(
         lambda u: _round_robin_kernel(u, n, rate),

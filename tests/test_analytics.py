@@ -143,6 +143,9 @@ class TestOrderStatMoments:
             order_stat_moments(4, 3, 1.0)
         with pytest.raises(ValueError):
             order_stat_moments(1, 3, 0.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^rate must be finite and > 0, got {rate}$"):
+                order_stat_moments(1, 3, rate)
 
     def test_max_mean_is_harmonic_exactly(self):
         for n in (1, 2, 7, 100):
@@ -384,6 +387,28 @@ class TestSchemeParams:
             r"got an integer of 1024 bits$",
         ):
             SchemeParams(largest + 1, 1)
+
+    @pytest.mark.parametrize(
+        "n, m", [(64, np.int32(4)), (np.int64(64), np.uint8(4)), (np.uint64(2**63), 2**31)]
+    )
+    def test_numpy_integers_stored_as_int(self, n, m):
+        params = SchemeParams(n, m)
+        assert (params.n, params.m) == (int(n), int(m))
+        assert type(params.n) is int and type(params.m) is int
+
+    @pytest.mark.parametrize(
+        "n, m, name",
+        [(64, True, "m"), (True, 1, "n"), (64, 4.0, "m"), (64.0, 4, "n"), (64, np.float64(4), "m")],
+    )
+    def test_bools_and_floats_refused(self, n, m, name):
+        value = n if name == "n" else m
+        message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SchemeParams(n, m)
+
+    def test_m_below_one_refused(self):
+        with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+            SchemeParams(8, 0)
 
     def test_derived(self):
         params = SchemeParams(1024, 8)

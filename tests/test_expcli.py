@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from aoilab import (
 from aoilab.expcli import (
     _BASELINE_OFFSET,
     _POINT_STRIDE,
+    SWEEP_CSV_COLUMNS,
     SweepConfig,
     SweepRow,
     divisor_adjusted_m,
@@ -33,7 +35,6 @@ from aoilab.expcli import (
     fit_slope,
     load_sweep_config,
     main,
-    read_rows_csv,
     run_sweep,
 )
 from aoilab.geometry import build_cells
@@ -196,6 +197,40 @@ class TestSweepConfig:
         assert not out.exists()
 
 
+    def test_infinite_rate_in_a_file_refused_before_anything_is_logged(
+        self, tmp_path, capsys, caplog
+    ):
+        # Python's json reads Infinity; the refusal names the file.
+        path = tmp_path / "sweep.json"
+        path.write_text('{"n_grid": [64, 256, 1024], "sessions": 1000, "lambda_intra": Infinity}')
+        out = tmp_path / "o"
+        with caplog.at_level(logging.INFO, logger="aoilab.expcli"):
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {path}: lambda_intra must be finite and > 0, got inf\n"
+        )
+        assert not caplog.records
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda-intra", "--lambda-inter"])
+    def test_infinite_rate_flag_refused_before_anything_is_logged(
+        self, flag, tmp_path, capsys, caplog
+    ):
+        out = tmp_path / "o"
+        argv = ["sweep", "--n-grid", "64,256,1024", "--sessions", "1000", flag, "inf"]
+        with caplog.at_level(logging.INFO, logger="aoilab.expcli"):
+            assert main([*argv, "--out", str(out)]) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and > 0, got inf\n"
+        assert not caplog.records
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+    def test_rates_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match=f"^lambda_inter must be finite and > 0, got {rate}$"):
+            SweepConfig(n_grid=(64,), lambda_inter=rate)
+
+
 class TestRunSweep:
     def test_single_point_equals_direct_simulation(self):
         config = SweepConfig(n_grid=(64,), b=1.0 / 3.0, sessions=2000, master_seed=3)
@@ -351,9 +386,15 @@ class TestEmitReport:
         ]
 
     def test_csv_round_trip(self, tmp_path):
+        # Each cell is its field's repr, or empty for None, in column order.
         rows = self._rows()
         paths = emit_report(rows, [], tmp_path / "out", b=0.5)
-        assert read_rows_csv(paths[0]) == rows
+        with open(paths[0], newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == list(SWEEP_CSV_COLUMNS)
+        assert records[1:] == [
+            ["" if value is None else repr(value) for value in astuple(row)] for row in rows
+        ]
 
     def test_csv_round_trip_of_every_column_and_empty_cells(self, tmp_path):
         # Every field set, and a row with only the optional cells empty.
@@ -371,7 +412,6 @@ class TestEmitReport:
             "4096,8,0.25,1000,191.5,191.25,0.125,191.0,4097.5,0.75",
             "64,4,0.3333333333333333,1000,44.5,44.25,0.5,,,",
         ]
-        assert read_rows_csv(paths[0]) == [full, sparse]
 
     def test_no_fit_requested_note(self, tmp_path):
         paths = emit_report(self._rows(), [], tmp_path / "out", b=0.5)
@@ -859,7 +899,8 @@ class TestCli:
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
         # The exact variant fills delta_timeline.
-        assert all(row.delta_timeline is not None for row in read_rows_csv(out / "sweep.csv"))
+        with open(out / "sweep.csv", newline="") as fh:
+            assert all(float(record["delta_timeline"]) > 0 for record in csv.DictReader(fh))
 
     def test_analyze_and_topology_never_import_scipy(self, tmp_path):
         # A fresh interpreter: the closed form and the geometry checks need

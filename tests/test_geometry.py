@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 from dataclasses import FrozenInstanceError, replace
 
@@ -23,9 +24,8 @@ from aoilab.geometry import (
     place_nodes,
     same_cell_transmissions,
     tdma_groups,
-    write_topology_csv,
-    write_violations_csv,
 )
+from aoilab.expcli import write_topology_csv, write_violations_csv
 from aoilab.sampling import StreamSpec, make_stream
 
 
@@ -192,6 +192,17 @@ class TestPlacement:
             place_nodes(0, 1.0, stream)
         with pytest.raises(ValueError):
             place_nodes(5, -1.0, stream)
+
+    def test_numpy_integer_n_places_as_int(self):
+        topo = place_nodes(np.int32(5), 1.0, make_stream(StreamSpec(0, 0)))
+        same = place_nodes(5, 1.0, make_stream(StreamSpec(0, 0)))
+        assert np.array_equal(topo.positions, same.positions)
+
+    @pytest.mark.parametrize("n", [True, 5.0, np.float64(5)])
+    def test_bools_and_floats_refused(self, n):
+        message = rf"^n must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            place_nodes(n, 1.0, make_stream(StreamSpec(0, 0)))
 
     @pytest.mark.parametrize("area", [math.inf, math.nan, 0.0])
     def test_refuses_area_not_finite_and_positive(self, area):

@@ -585,6 +585,16 @@ class TestRoundRobin:
         with pytest.raises(ValueError, match="the largest float64; got an integer of 1329 bits"):
             simulate_round_robin(10**400, 1.0, 100)
 
+    def test_numpy_integer_n_runs_as_int(self):
+        runs = [simulate_round_robin(n, 1.0, 100, master_seed=3) for n in (np.uint16(6), 6)]
+        assert runs[0].batch_summaries == runs[1].batch_summaries
+
+    @pytest.mark.parametrize("n", [True, 6.0, np.float64(6)])
+    def test_bools_and_floats_refused(self, n):
+        message = rf"^n must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_round_robin(n, 1.0, 100)
+
 
 class TestSimulateSessions:
     def test_rejects_round_robin_variant(self):
