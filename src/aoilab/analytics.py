@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .params import SchemeParams
+from .params import SchemeParams, cell_exponent, finite_positive, integer_at_least
 
 EULER_GAMMA = 0.5772156649015329
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
@@ -30,9 +28,7 @@ def harmonic(n: int) -> float:
     log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) above it.  Within
     1e-15 relative of the exact sum either way.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"harmonic requires an integer n >= 0, got {n!r}")
-    n = int(n)
+    n = integer_at_least("n", n, 0)
     if n == 0:
         return 0.0
     if n <= _FSUM_CAP:
@@ -48,9 +44,7 @@ def gen_harmonic(n: int) -> float:
     ``math.fsum`` of the terms up to ``n = 128``.  Converges to pi^2/6;
     above 128 the tail is expanded as 1/n - 1/(2n^2) + 1/(6n^3) - 1/(30n^5).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"gen_harmonic requires an integer n >= 0, got {n!r}")
-    n = int(n)
+    n = integer_at_least("n", n, 0)
     if n == 0:
         return 0.0
     if n <= _FSUM_CAP:
@@ -75,14 +69,11 @@ def order_stat_moments(k: int, n: int, rate: float) -> OrderStatMoments:
 
     mean = (H_n - H_{n-k}) / rate, variance = (G_n - G_{n-k}) / rate^2.
     """
-    if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
-        raise ValueError("k and n must be integers")
-    if k < 1 or k > n:
-        raise ValueError(f"require 1 <= k <= n, got k={k}, n={n}")
-    if not 0 < rate < math.inf:
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    mean = (harmonic(int(n)) - harmonic(int(n - k))) / rate
-    variance = (gen_harmonic(int(n)) - gen_harmonic(int(n - k))) / (rate * rate)
+    k = integer_at_least("k", k, 1)
+    n = integer_at_least("n", n, k, " (= k)")
+    rate = finite_positive("rate", rate)
+    mean = (harmonic(n) - harmonic(n - k)) / rate
+    variance = (gen_harmonic(n) - gen_harmonic(n - k)) / (rate * rate)
     return OrderStatMoments(mean=mean, variance=variance, second_moment=variance + mean * mean)
 
 
@@ -215,12 +206,10 @@ def asymptotic_age(
     and every G -> pi^2/6.  ``m`` is not rounded to an integer, so this is
     an asymptotic report rather than an oracle for finite-n simulation.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must lie in (0, 1], got {b}")
-    if not (0 < lambda_intra < math.inf and 0 < lambda_inter < math.inf):
-        raise ValueError("rates must be finite and > 0")
+    n = integer_at_least("n", n, 2)
+    b = cell_exponent(b)
+    lambda_intra = finite_positive("lambda_intra", lambda_intra)
+    lambda_inter = finite_positive("lambda_inter", lambda_inter)
     log_n = math.log(n)
     z = PI_SQ_OVER_6
     pm = _phase_moments(
@@ -236,6 +225,5 @@ def scaling_exponent(b: float) -> float:
 
     Minimized at b = 1/4 with value 1/4.
     """
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must lie in (0, 1], got {b}")
+    b = cell_exponent(b)
     return max(b, 1.0 - 3.0 * b)

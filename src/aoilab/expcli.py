@@ -21,7 +21,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +39,9 @@ from .geometry import (
     same_cell_transmissions,
     tdma_groups,
 )
-from .params import SchemeParams, node_count_float
+from .params import (
+    SchemeParams, cell_exponent, finite_positive, integer_at_least, node_count_float,
+)
 from .sampling import StreamSpec, make_stream
 from .scheme import (
     DeliveryMode,
@@ -90,10 +92,8 @@ def divisor_adjusted_m(n: int, target: float) -> int | None:
     divisors ``d`` in it, or their cofactors ``n / d`` when those are fewer.
     Raises ValueError when both hold more than 10^7 integers.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not target > 0:
-        raise ValueError(f"target must be > 0, got {target}")
+    n = integer_at_least("n", n, 1)
+    target = finite_positive("target", target)
     lo, hi = 0.5 * target, 1.5 * target
     if lo > n or hi < 1:
         return None
@@ -116,6 +116,16 @@ def divisor_adjusted_m(n: int, target: float) -> int | None:
     dist = {d: abs(math.log(d) - log_t) for d in candidates}
     best = min(dist.values())
     return min(d for d in dist if dist[d] <= best + _DIVISOR_TIE_TOL)
+
+
+def _cells_for(n: int, b: float) -> int:
+    """The cell size of ``n`` nodes at cell exponent ``b``: the divisor of n
+    nearest to n**b, or ValueError when none lies within +-50 percent."""
+    target = node_count_float(n) ** cell_exponent(b)
+    m = divisor_adjusted_m(n, target)
+    if m is None:
+        raise ValueError(f"no divisor of n={n} within 50% of n^b={target:.3f}")
+    return m
 
 
 def _integer(value) -> int:
@@ -174,7 +184,12 @@ _SWEEP_FIELDS = {
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep.  Integer fields also take integral floats (``1e5``); a value
-    not of its field's type raises ``ValueError("bad value for '<field>': ...")``."""
+    not of its field's type raises ``ValueError("bad value for '<field>': ...")``.
+
+    ``points`` holds the sweep's SchemeParams, one per grid point, with m the
+    divisor of n nearest to n**b; a point with no divisor within +-50 percent
+    of n**b, or any other value SchemeParams refuses, raises ValueError here.
+    """
 
     n_grid: tuple[int, ...]
     b: float = 0.25
@@ -185,9 +200,10 @@ class SweepConfig:
     variant: Variant = Variant.WORSENED
     delivery_mode: DeliveryMode = DeliveryMode.INDEPENDENT
     baseline: bool = False
+    points: tuple[SchemeParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in fields(self)[:-1]:  # every field but points
             try:
                 value = _SWEEP_FIELDS[f.name][0](getattr(self, f.name))
             except (TypeError, ValueError, OverflowError) as exc:
@@ -198,19 +214,13 @@ class SweepConfig:
             raise ValueError("n_grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {grid}")
-        if grid[0] < 2:
-            raise ValueError(
-                f"n_grid values must be >= 2 (a node is never its own "
-                f"destination), got {grid[0]}"
-            )
-        if not 0.0 < self.b <= 1.0:
-            raise ValueError(f"b must lie in (0, 1], got {self.b}")
-        if self.sessions < 1000:
-            raise ValueError(f"sessions must be >= 1000, got {self.sessions}")
-        for name in ("lambda_intra", "lambda_inter"):
-            rate = getattr(self, name)
-            if not 0 < rate < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {rate}")
+        integer_at_least("n_grid values", grid[0], 2, " (a node is never its own destination)")
+        integer_at_least("sessions", self.sessions, 1000)
+        StreamSpec(self.master_seed)  # a seed the streams refuse, refused before run_sweep
+        object.__setattr__(self, "points", tuple(
+            SchemeParams(n, _cells_for(n, self.b), self.lambda_intra, self.lambda_inter)
+            for n in grid
+        ))
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -245,18 +255,6 @@ class SweepRow:
     delta_timeline: float | None = None
     delta_baseline: float | None = None
     wall_time_s: float | None = None
-
-
-def _cells_for(n: int, b: float) -> int:
-    """The cell size of ``n`` nodes at cell exponent ``b``: the divisor of n
-    nearest to n**b, or ValueError when none lies within +-50 percent."""
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must lie in (0, 1], got {b}")
-    target = node_count_float(n) ** b
-    m = divisor_adjusted_m(n, target)
-    if m is None:
-        raise ValueError(f"no divisor of n={n} within 50% of n^b={target:.3f}")
-    return m
 
 
 def _simulate_point(params, sessions, variant, delivery, master_seed, base_stream_index, workers):
@@ -296,21 +294,16 @@ def _simulate_point(params, sessions, variant, delivery, master_seed, base_strea
 
 
 def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> list[SweepRow]:
-    """One SweepRow per grid point, deterministic given the master seed.
-
-    The cell count m is the divisor of n nearest to n**b; a grid point with
-    no divisor within +-50 percent of the target raises ValueError before
-    any point is simulated.
-    """
-    points = []
-    for n in config.n_grid:
-        m, target = _cells_for(n, config.b), float(n) ** config.b
-        if m != round(target):
-            log.info("n=%d: adjusted m from n^b=%.3f to divisor %d", n, target, m)
-        points.append(SchemeParams(n, m, config.lambda_intra, config.lambda_inter))
+    """One SweepRow per point of ``config.points``, deterministic given the
+    master seed."""
+    integer_at_least("workers", workers, 1)  # refused before anything is logged
+    for params in config.points:
+        target = float(params.n) ** config.b
+        if params.m != round(target):
+            log.info("n=%d: adjusted m from n^b=%.3f to divisor %d", params.n, target, params.m)
 
     rows: list[SweepRow] = []
-    for i, params in enumerate(points):
+    for i, params in enumerate(config.points):
         started = time.perf_counter()
         analytic, estimate, timeline = _simulate_point(
             params, config.sessions, config.variant, config.delivery_mode,

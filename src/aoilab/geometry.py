@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import integer_at_least
+from .params import finite_positive, integer_at_least
 
 GUARD_ZONE_LIMIT = math.sqrt(2.0) - 1.0  # largest gamma the 9-TDMA pattern tolerates
 _PAIR_BLOCK = 4096  # node pairs per block of the protocol and farthest-pair checks
@@ -61,7 +61,6 @@ class CellGrid:
 class Topology:
     area_side: float
     positions: np.ndarray  # (n, 2)
-    grid: CellGrid | None = None
     cell_of: np.ndarray | None = None
     pairing: np.ndarray | None = None
 
@@ -76,15 +75,14 @@ class Topology:
         return _FarthestPairs.build(self.cell_of, self.positions)
 
     def with_cells(self, grid: CellGrid) -> "Topology":
-        return replace(self, grid=grid, cell_of=cell_index(grid, self.positions))
+        return replace(self, cell_of=cell_index(grid, self.positions))
 
 
 def _square_side(area: float) -> float:
     """Side of the square of ``area``.  Squared distances across the square
     reach twice its area, so an area above half the largest float64 is
     refused as well as one that is not finite and positive."""
-    if not 0 < area < math.inf:
-        raise ValueError(f"area must be finite and > 0, got {area}")
+    area = finite_positive("area", area)
     if area > _FLOAT_MAX / 2:
         raise ValueError(
             f"area must be at most {_FLOAT_MAX / 2!r}, half the largest float64, "
@@ -107,7 +105,8 @@ def build_cells(n: int, m: int, area: float) -> CellGrid:
     a cell's area must be at least the smallest normal float64: squared
     distances within a smaller cell round to subnormals or to 0.
     """
-    if n < 1 or m < 1 or n % m != 0:
+    n, m = integer_at_least("n", n, 1), integer_at_least("m", m, 1)
+    if n % m != 0:
         raise ValueError(f"need m dividing n, got n={n}, m={m}")
     cells = n // m
     per_side = math.isqrt(cells)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -16,6 +17,23 @@ def integer_at_least(name: str, value, minimum: int, why: str = "") -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}{why}, got {value}")
     return int(value)
+
+
+def finite_positive(name: str, value) -> float:
+    """``value`` as a ``float``, or ValueError unless it is a real number, not
+    a bool, above 0 and at most the largest float64."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf:
+        with contextlib.suppress(OverflowError):  # an integer beyond the largest float64
+            return float(value)
+    raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def cell_exponent(b) -> float:
+    """The cell exponent ``b`` of ``m = n**b`` as a ``float``, or ValueError
+    unless it is a real number, not a bool, in (0, 1]."""
+    if isinstance(b, bool) or not (isinstance(b, numbers.Real) and 0 < b <= 1):
+        raise ValueError(f"b must lie in (0, 1], got {b}")
+    return float(b)
 
 
 def node_count_float(n: int) -> float:
@@ -56,9 +74,7 @@ class SchemeParams:
                 f"exactly n/m cells of m nodes each"
             )
         for name in ("lambda_intra", "lambda_inter"):
-            rate = getattr(self, name)
-            if not 0 < rate < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {rate}")
+            object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
 
     @property
     def cells(self) -> int:

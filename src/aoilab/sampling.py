@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import integer_at_least
+
 _MAX_UINT64 = 2**64 - 1
 
 # Counter ticks reserved per stream (one tick = 4 uniform doubles).  A
@@ -63,16 +65,17 @@ _GAMMA_TABLE_MIN_SHAPE = 16
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """Identity of one reproducible stream: (master_seed, stream_index)."""
+    """Identity of one reproducible stream: (master_seed, stream_index), each in [0, 2^64)."""
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MAX_UINT64:
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
-        if not 0 <= self.stream_index <= _MAX_UINT64:
-            raise ValueError(f"stream_index must fit in 64 bits, got {self.stream_index!r}")
+        for name in ("master_seed", "stream_index"):
+            value = integer_at_least(name, getattr(self, name), 0)
+            if value > _MAX_UINT64:
+                raise ValueError(f"{name} must fit in 64 bits, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def make_stream(spec: StreamSpec) -> np.random.Generator:

@@ -38,10 +38,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .params import SchemeParams, integer_at_least, node_count_float
+from .params import SchemeParams, finite_positive, integer_at_least, node_count_float
 from .sampling import (
     _GAMMA_TABLE_MIN_SHAPE,
     _TINY_UNIFORM,
+    StreamSpec,
     exp_from_uniform,
     fill_stream_rows,
     gamma_from_uniform,
@@ -326,6 +327,7 @@ def sample_coupled_sessions(
     """
     m, cells = params.m, params.cells
     width = _exact_width(params) + m
+    sessions = integer_at_least("sessions", sessions, 1)
     stream_window(base_stream_index, sessions, width)  # raises before any work
     u = fill_stream_rows(master_seed, base_stream_index, 0, sessions, width)
     rounds1, y2, relays, j = draws = _exact_draws(u, params)
@@ -420,10 +422,10 @@ def _run_batches(
     once every chunk is in; so does a batch whose sum of ``y^2`` is below
     the smallest normal float64.  Numpy warns of nothing on the way.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {sessions}")
+    workers = integer_at_least("workers", workers, 1)
+    sessions = integer_at_least("sessions", sessions, 1)
+    spec = StreamSpec(master_seed, base_stream_index)  # the seed and index as ints
+    master_seed, base_stream_index = spec.master_seed, spec.stream_index
     stream_window(base_stream_index, sessions, width)  # raises before any work
     rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // (4 * row_ticks(width)))
     chunks = range(0, sessions, rows)
@@ -542,9 +544,7 @@ def simulate_round_robin(
     served per slot, each slot exponential with ``rate``; the tagged pair
     holds a uniform slot (see :func:`_round_robin_kernel`)."""
     n = integer_at_least("n", n, 1)
-    if not 0 < rate < np.inf:
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    rate = float(rate)
+    rate = finite_positive("rate", rate)
     node_count_float(n)
     return _run_batches(
         lambda u: _round_robin_kernel(u, n, rate),

@@ -75,7 +75,7 @@ def round_robin_columns():
     return columns
 
 
-def _read_topology_csv(path, area_side, grid=None):
+def _read_topology_csv(path, area_side):
     node_ids, xs, ys, cells, dests = [], [], [], [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -91,7 +91,6 @@ def _read_topology_csv(path, area_side, grid=None):
     return Topology(
         area_side=area_side,
         positions=positions,
-        grid=grid,
         cell_of=None if np.all(cell_arr < 0) else cell_arr,
         pairing=None if np.all(dest_arr < 0) else dest_arr,
     )
@@ -99,5 +98,5 @@ def _read_topology_csv(path, area_side, grid=None):
 
 @pytest.fixture
 def read_topology_csv():
-    """``read(path, area_side, grid=None)``: the Topology in a file of ``write_topology_csv``."""
+    """``read(path, area_side)``: the Topology in a file of ``write_topology_csv``."""
     return _read_topology_csv

@@ -330,8 +330,10 @@ class TestAsymptoticAge:
             asymptotic_age(100, 1.5)
         with pytest.raises(ValueError):
             asymptotic_age(1, 0.5)
-        with pytest.raises(ValueError, match="rates must be finite and > 0"):
+        with pytest.raises(ValueError, match="^lambda_intra must be finite and > 0, got inf$"):
             asymptotic_age(100, 0.5, math.inf)
+        with pytest.raises(ValueError, match="^lambda_inter must be finite and > 0, got inf$"):
+            asymptotic_age(100, 0.5, lambda_inter=math.inf)
 
 
 class TestScalingExponent:

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -37,7 +38,6 @@ from aoilab.expcli import (
     main,
     run_sweep,
 )
-from aoilab.geometry import build_cells
 from aoilab.sampling import BLOCK_TICKS, row_ticks, stream_window
 from aoilab.scheme import _ROUND_ROBIN_WIDTH, _exact_width, _worsened_width
 
@@ -225,6 +225,26 @@ class TestSweepConfig:
         assert not caplog.records
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "master_seed must be >= 0, got -1"),
+            (["--seed", str(2**64)], f"master_seed must fit in 64 bits, got {2**64}"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_seed_or_workers_refused_before_anything_is_logged(
+        self, flags, message, tmp_path, capsys, caplog
+    ):
+        # n = 64 and 16384 would each log an adjusted m.
+        out = tmp_path / "o"
+        argv = ["sweep", "--n-grid", "64,256,16384", "--sessions", "1000", *flags]
+        with caplog.at_level(logging.INFO, logger="aoilab.expcli"):
+            assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not caplog.records
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
     def test_rates_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match=f"^lambda_inter must be finite and > 0, got {rate}$"):
@@ -249,9 +269,12 @@ class TestRunSweep:
         rows_b = run_sweep(config, timing=False)
         assert rows_a == rows_b
 
-    def test_point_without_divisor_refused_before_simulating(self, monkeypatch, tmp_path, capsys):
+    def test_point_without_divisor_refused_before_simulating(
+        self, monkeypatch, tmp_path, capsys, caplog
+    ):
         # 17 is prime: no divisor lies within 50% of 17^(1/4) = 2.03.  The
-        # sweep refuses the grid before any point runs and writes nothing.
+        # sweep's config refuses the grid, so no point runs, nothing is
+        # logged and nothing is written; a config file is named.
         calls = []
 
         def counted(*args, **kwargs):
@@ -259,15 +282,19 @@ class TestRunSweep:
             return simulate_sessions(*args, **kwargs)
 
         monkeypatch.setattr(expcli, "simulate_sessions", counted)
-        config = SweepConfig(n_grid=(17, 64, 256), b=0.25, sessions=1000)
-        with pytest.raises(ValueError, match=r"^no divisor of n=17 within 50% of n\^b=2.031$"):
-            run_sweep(config, timing=False)
-        assert calls == []
+        reason = "no divisor of n=17 within 50% of n^b=2.031"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            SweepConfig(n_grid=(17, 64, 256), b=0.25, sessions=1000)
+        path = tmp_path / "sweep.json"
+        path.write_text('{"n_grid": [17, 64, 256]}')
         out = tmp_path / "o"
-        args = ["sweep", "--n-grid", "17,64,256", "--b", "0.25", "--sessions", "1000"]
-        assert main([*args, "--out", str(out)]) == 2
-        assert "no divisor of n=17" in capsys.readouterr().err
-        assert not out.exists() and calls == []
+        flags = ["--n-grid", "17,64,256", "--b", "0.25", "--sessions", "1000"]
+        for args, prefix in ((flags, ""), (["--config", str(path)], f"config {path}: ")):
+            with caplog.at_level(logging.INFO, logger="aoilab.expcli"):
+                assert main(["sweep", *args, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {prefix}{reason}\n"
+            assert not caplog.records
+            assert not out.exists() and calls == []
 
     def test_stream_windows_are_disjoint(self):
         # Every point of a b = 1/4 sweep up to n = 2^20, both variants, at the
@@ -825,8 +852,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "violations=0" in out
         assert "pairing_rejected_proposals=" in out
-        grid = build_cells(65536, 16, 1.0)
-        topo = read_topology_csv(out_dir / "topology.csv", area_side=1.0, grid=grid)
+        topo = read_topology_csv(out_dir / "topology.csv", area_side=1.0)
         nodes = np.arange(65536)
         assert np.array_equal(np.sort(topo.pairing), nodes)
         assert not np.any(topo.pairing == nodes)

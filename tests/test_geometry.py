@@ -633,7 +633,7 @@ class TestProtocolModel:
         # Every TDMA group at n = 10^4; (400, 100) puts about 100 nodes in
         # each cell, one cell per block of node pairs.
         topo, _ = _topology(n=n, m=m, seed=16)
-        for group in tdma_groups(topo.grid).groups:
+        for group in tdma_groups(build_cells(n, m, 1.0)).groups:
             got = same_cell_transmissions(topo, group)
             assert got == _reference_same_cell_transmissions(topo, group)
             assert all(type(node) is int for link in got for node in link)
@@ -654,7 +654,7 @@ class TestProtocolModel:
                 assert got == _reference_same_cell_transmissions(t, cells)
                 assert all(type(node) is int for link in got for node in link)
 
-        fine_lists = list(tdma_groups(topo.grid).groups)
+        fine_lists = list(tdma_groups(build_cells(400, 4, 1.0)).groups)
         check(topo, fine_lists)
         recelled = topo.with_cells(coarse)
         check(recelled, cell_lists)
@@ -690,7 +690,7 @@ class TestTopologyCsv:
         topo = replace(topo, pairing=pairing)
         path = tmp_path / "topology.csv"
         write_topology_csv(topo, path)
-        loaded = read_topology_csv(path, area_side=topo.area_side, grid=topo.grid)
+        loaded = read_topology_csv(path, area_side=topo.area_side)
         assert np.array_equal(loaded.positions, topo.positions)
         assert np.array_equal(loaded.cell_of, topo.cell_of)
         assert np.array_equal(loaded.pairing, topo.pairing)
