@@ -17,6 +17,7 @@ from .analytics import (
     harmonic,
     order_stat_moments,
     phase_moments,
+    round_robin_age,
     scaling_exponent,
 )
 from .params import SchemeParams
@@ -58,6 +59,7 @@ __all__ = [
     "make_stream",
     "order_stat_moments",
     "phase_moments",
+    "round_robin_age",
     "sample_coupled_sessions",
     "scaling_exponent",
     "session_stream",

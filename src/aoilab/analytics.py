@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import SchemeParams, cell_exponent, finite_positive, integer_at_least
+from .params import (
+    SchemeParams, cell_exponent, finite_positive, integer_at_least, node_count_float,
+)
 
 EULER_GAMMA = 0.5772156649015329
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
@@ -33,7 +35,7 @@ def harmonic(n: int) -> float:
         return 0.0
     if n <= _FSUM_CAP:
         return math.fsum(1.0 / j for j in range(1, n + 1))
-    inv = 1.0 / n
+    inv = 1.0 / node_count_float(n)
     inv2 = inv * inv
     return math.log(n) + EULER_GAMMA + 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
 
@@ -49,7 +51,7 @@ def gen_harmonic(n: int) -> float:
         return 0.0
     if n <= _FSUM_CAP:
         return math.fsum(1.0 / (j * j) for j in range(1, n + 1))
-    inv = 1.0 / n
+    inv = 1.0 / node_count_float(n)
     inv2 = inv * inv
     tail = inv - 0.5 * inv2 + inv2 * inv / 6.0 - inv2 * inv2 * inv / 30.0
     return PI_SQ_OVER_6 - tail
@@ -197,6 +199,27 @@ def _age_breakdown(pm: PhaseMoments) -> AgeBreakdown:
     )
 
 
+def round_robin_age(n: int, rate: float) -> float:
+    """Exact average age of one pair under turn-taking: ``(n + 1) / rate``.
+
+    A session is n slots, one pair served per slot, each slot exponential
+    with ``rate`` = lambda, so the session length Y is Gamma(n, lambda):
+    E[Y] = n/lambda and E[Y^2] = Var Y + E[Y]^2 = n(n+1)/lambda^2.  The
+    tagged pair holds a uniform slot j in 1..n and is delivered at its end,
+    so D is the sum of j slot lengths and E[D] = E[j]/lambda = (n+1)/(2 lambda).
+    The age E[D] + E[Y^2] / (2 E[Y]) is then (n+1)/(2 lambda) twice over.
+
+    Raises ValueError when the age leaves the float64 range.
+    """
+    n = integer_at_least("n", n, 1)
+    rate = finite_positive("rate", rate)
+    node_count_float(n)
+    age = (n + 1) / rate  # n + 1 rounded once, on the Python int
+    if not math.isfinite(age):
+        raise ValueError(f"the closed form at rate={rate} leaves the float64 range")
+    return age
+
+
 def asymptotic_age(
     n: int, b: float, lambda_intra: float = 1.0, lambda_inter: float = 1.0
 ) -> float:
@@ -213,7 +236,7 @@ def asymptotic_age(
     log_n = math.log(n)
     z = PI_SQ_OVER_6
     pm = _phase_moments(
-        n, float(n) ** b, lambda_intra, lambda_inter,
+        n, node_count_float(n) ** b, lambda_intra, lambda_inter,
         log_n, b * log_n, (1.0 - b) * log_n, z, z, z,
     )
     return _age_breakdown(pm).total

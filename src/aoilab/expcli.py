@@ -5,7 +5,8 @@ Subcommands: ``analyze`` (closed forms for one parameter set),
 estimate when every session delivers within itself), ``sweep`` (parameter
 sweeps with slope fits and CSV/report emission), ``topology`` (placement,
 pairing, 9-TDMA grouping, and protocol-model checking), ``baseline``
-(turn-taking reference model).  Every output file is written here.
+(turn-taking reference model).  One runner, ``_simulate_point``, serves
+every simulated point of every model, and every output file is written here.
 
 Exit codes: 0 success, 1 usage error, 2 infeasibility or validation
 failure, 3 I/O failure.
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import AgeBreakdown, closed_form_age, scaling_exponent
+from .analytics import AgeBreakdown, closed_form_age, round_robin_age, scaling_exponent
 from .geometry import (
     GUARD_ZONE_LIMIT,
     Topology,
@@ -257,38 +258,39 @@ class SweepRow:
     wall_time_s: float | None = None
 
 
-def _simulate_point(params, sessions, variant, delivery, master_seed, base_stream_index, workers):
+def _simulate_point(point, sessions, variant, delivery, master_seed, base_stream_index, workers):
     """Closed-form age, moment estimate and timeline estimate (None unless
-    every session delivers within itself) of one simulated point.
+    every session delivers within itself) of one simulated point: ``point``
+    is the scheme's SchemeParams, or the turn-taking baseline's ``(n, rate)``
+    with ``variant`` and ``delivery`` None.
 
     The closed form comes first, so a point it cannot evaluate fails before
-    any session runs.  A worsened point whose moment estimate lies more than
-    5 standard errors from the closed form logs a warning.
+    any session runs.  A moment estimate more than 5 standard errors from a
+    closed form that is the model's own age logs a warning.
     """
-    analytic = closed_form_age(params).total
-    run = simulate_sessions(
-        params, sessions, variant=variant, delivery=delivery, master_seed=master_seed,
-        base_stream_index=base_stream_index, workers=workers,
-    )
+    stream = dict(master_seed=master_seed, base_stream_index=base_stream_index, workers=workers)
+    if isinstance(point, SchemeParams):
+        analytic = closed_form_age(point).total
+        run = simulate_sessions(point, sessions, variant=variant, delivery=delivery, **stream)
+        # The closed form needs only the marginals of D and Y, which both
+        # delivery modes keep; it is the worsened variant's age only.  The
+        # timeline integrator needs delivery-before-session-end on every
+        # path, which only the coupled mode (or the exact variant) ensures.
+        own_age = variant == Variant.WORSENED
+        with_timeline = delivery == DeliveryMode.COUPLED or variant == Variant.EXACT
+        where = f"n={point.n} m={point.m}"
+    else:
+        analytic = round_robin_age(*point)
+        run = simulate_round_robin(*point, sessions, **stream)
+        own_age, with_timeline = True, False  # no output reports the baseline's timeline
+        where = f"n={point[0]} turn-taking"
     moment = estimate_age_moment_formula(run.batch_summaries)
-
-    # The timeline integrator needs delivery-before-session-end on every
-    # path, which only the coupled mode (or the exact variant) ensures.
-    timeline = None
-    if delivery == DeliveryMode.COUPLED or variant == Variant.EXACT:
-        timeline = integrate_age_timeline(run)
-
-    # The closed form needs only the marginals of D and Y, which both
-    # delivery modes keep; it describes the worsened variant only.
-    if (
-        variant == Variant.WORSENED
-        and moment.std_err > 0
-        and abs(moment.delta_hat - analytic) > 5.0 * moment.std_err
-    ):
+    timeline = integrate_age_timeline(run) if with_timeline else None
+    if own_age and moment.std_err > 0 and abs(moment.delta_hat - analytic) > 5.0 * moment.std_err:
         log.warning(
-            "n=%d m=%d: simulated age %.6g deviates from closed form %.6g "
+            "%s: simulated age %.6g deviates from closed form %.6g "
             "by more than 5 standard errors (%.3g)",
-            params.n, params.m, moment.delta_hat, analytic, moment.std_err,
+            where, moment.delta_hat, analytic, moment.std_err,
         )
     return analytic, moment, timeline
 
@@ -311,11 +313,10 @@ def run_sweep(config: SweepConfig, workers: int = 1, timing: bool = True) -> lis
         )
         delta_baseline = None
         if config.baseline:
-            rr = simulate_round_robin(
-                params.n, config.lambda_intra, config.sessions, master_seed=config.master_seed,
-                base_stream_index=i * _POINT_STRIDE + _BASELINE_OFFSET, workers=workers,
-            )
-            delta_baseline = estimate_age_moment_formula(rr.batch_summaries).delta_hat
+            delta_baseline = _simulate_point(
+                (params.n, config.lambda_intra), config.sessions, None, None,
+                config.master_seed, i * _POINT_STRIDE + _BASELINE_OFFSET, workers,
+            )[1].delta_hat
         rows.append(SweepRow(
             n=params.n, m=params.m, b_effective=params.b, sessions=config.sessions,
             delta_analytic=analytic, delta_sim=estimate.delta_hat,
@@ -549,9 +550,8 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    run = simulate_round_robin(args.n, args.rate, args.sessions, master_seed=args.seed)
-    estimate = estimate_age_moment_formula(run.batch_summaries)
-    closed = (args.n + 1) / args.rate
+    point = (args.n, args.rate)
+    closed, estimate, _ = _simulate_point(point, args.sessions, None, None, args.seed, 0, 1)
     print(f"n={args.n} rate={args.rate} sessions={args.sessions} seed={args.seed}")
     print(f"delta_closed_form={closed!r}")
     print(f"delta_sim={estimate.delta_hat!r} stderr={estimate.std_err!r}")

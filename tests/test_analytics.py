@@ -20,6 +20,7 @@ from aoilab import (
     harmonic,
     order_stat_moments,
     phase_moments,
+    round_robin_age,
     scaling_exponent,
 )
 from aoilab.analytics import EULER_GAMMA, PI_SQ_OVER_6
@@ -336,6 +337,26 @@ class TestAsymptoticAge:
             asymptotic_age(100, 0.5, lambda_inter=math.inf)
 
 
+class TestRoundRobinAge:
+    def test_values(self):
+        assert round_robin_age(1, 2.0) == 1.0
+        assert round_robin_age(1024, 0.5) == 2050.0
+        # n + 1 is rounded once, from the integer.
+        assert round_robin_age(2**64, 1.0) == float(2**64 + 1)
+        assert round_robin_age(2**54 + 2, 1.0) == float(2**54 + 4) != float(2**54 + 2) + 1.0
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            round_robin_age(0, 1.0)
+        with pytest.raises(ValueError, match="^n must be an integer, got 6.0$"):
+            round_robin_age(6.0, 1.0)
+        for rate in (0.0, math.inf, math.nan, True):
+            with pytest.raises(ValueError, match=f"^rate must be finite and > 0, got {rate}$"):
+                round_robin_age(8, rate)
+        with pytest.raises(ValueError, match="^the closed form at rate=1e-308 leaves"):
+            round_robin_age(8, 1e-308)
+
+
 class TestScalingExponent:
     @pytest.mark.parametrize("b,expected", [(0.25, 0.25), (1.0, 1.0), (0.1, 0.7)])
     def test_values(self, b, expected):
@@ -417,3 +438,23 @@ class TestSchemeParams:
         assert params.cells == 128
         assert params.b == pytest.approx(math.log(8) / math.log(1024))
         assert SchemeParams(4, 4).b == 1.0
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        harmonic,
+        gen_harmonic,
+        lambda n: order_stat_moments(1, n, 1.0),
+        lambda n: asymptotic_age(n, 0.5),
+        lambda n: round_robin_age(n, 1.0),
+    ],
+    ids=["harmonic", "gen_harmonic", "order_stat_moments", "asymptotic_age", "round_robin_age"],
+)
+def test_n_beyond_the_largest_float64_refused(closed_form):
+    with pytest.raises(
+        ValueError,
+        match=r"^n must be at most 1\.7976931348623157e\+308, the largest float64; "
+        r"got an integer of 1329 bits$",
+    ):
+        closed_form(10**400)

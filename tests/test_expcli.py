@@ -23,6 +23,7 @@ from aoilab import (
     closed_form_age,
     estimate_age_moment_formula,
     expcli,
+    round_robin_age,
     simulate_sessions,
 )
 from aoilab.expcli import (
@@ -325,23 +326,52 @@ class TestRunSweep:
 
     def test_five_se_warning_covers_both_delivery_modes(self, caplog, monkeypatch):
         # Both delivery modes keep the marginals of D and Y, all the closed
-        # form needs; it bounds the exact variant but is not its age.
+        # form needs; it bounds the exact variant but is not its age.  The
+        # turn-taking closed form is the baseline's own age.
         def offset(params):
             return SimpleNamespace(total=closed_form_age(params).total + 10.0)
 
         monkeypatch.setattr(expcli, "closed_form_age", offset)
-        cases = [("worsened", "independent", True), ("worsened", "coupled", True),
-                 ("exact", "independent", False)]
-        for variant, delivery, warns in cases:
+        monkeypatch.setattr(expcli, "round_robin_age", lambda n, r: round_robin_age(n, r) + 10.0)
+        cases = [("worsened", "independent", False, True), ("worsened", "coupled", False, True),
+                 ("exact", "independent", False, False), ("exact", "independent", True, True)]
+        for variant, delivery, baseline, warns in cases:
             caplog.clear()
             config = SweepConfig(
                 n_grid=(64,), sessions=2000, master_seed=5, variant=variant,
-                delivery_mode=delivery,
+                delivery_mode=delivery, baseline=baseline,
             )
             with caplog.at_level(logging.WARNING, logger="aoilab.expcli"):
                 run_sweep(config, timing=False)
             warned = any("5 standard errors" in r.getMessage() for r in caplog.records)
-            assert warned == warns, (variant, delivery)
+            assert warned == warns, (variant, delivery, baseline)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="aoilab.expcli"):
+            assert main(["baseline", "--n", "64", "--sessions", "2000", "--seed", "5"]) == 0
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["n=64 turn-taking"]
+
+    def test_point_runner_calls_the_names_the_benchmark_observes(self, monkeypatch):
+        # The sweep-quarter benchmark replaces these names in expcli and reads
+        # each run's workers keyword, so the runner looks them up when it is
+        # called: per point the closed form, the scheme run, then the baseline's.
+        calls = []
+
+        def recorded(name):
+            function = getattr(expcli, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, kwargs.get("workers")))
+                return function(*args, **kwargs)
+
+            return record
+
+        names = ("closed_form_age", "simulate_sessions", "round_robin_age", "simulate_round_robin")
+        for name in names:
+            monkeypatch.setattr(expcli, name, recorded(name))
+        config = SweepConfig(n_grid=(64, 256), sessions=1000, master_seed=6, baseline=True)
+        run_sweep(config, workers=2, timing=False)
+        per_point = [(names[0], None), (names[1], 2), (names[2], None), (names[3], 2)]
+        assert calls == per_point * 2
 
     def test_timeline_column_only_for_coupled(self):
         base = dict(n_grid=(64,), sessions=1000, master_seed=2)
@@ -624,6 +654,9 @@ class TestCli:
              "the simulated sums at lambda_intra=1e-152, lambda_inter=1.0 leave the float64 range"),
             (["baseline", "--n", "8", "--rate", "1e-300"],
              "the simulated sums at rate=1e-300 leave the float64 range"),
+            # (n + 1) / rate itself overflows: refused before any session runs.
+            (["baseline", "--n", "8", "--rate", "1e-308"],
+             "the closed form at rate=1e-308 leaves the float64 range"),
         ],
     )
     def test_extreme_rates_exit_2_without_warnings(self, argv, reason, capsys):

@@ -23,6 +23,7 @@ from aoilab import (
     integrate_age_timeline,
     make_stream,
     phase_moments,
+    round_robin_age,
     sample_coupled_sessions,
     simulate_round_robin,
     simulate_sessions,
@@ -519,14 +520,18 @@ class TestEstimators:
 
 class TestRoundRobin:
     def test_closed_form_age(self):
-        run = simulate_round_robin(4, 1.0, 200_000, master_seed=601)
-        est = estimate_age_moment_formula(run.batch_summaries)
-        assert abs(est.delta_hat - 5.0) < 4 * est.std_err
+        # The literal n + 1 is an oracle independent of round_robin_age.
+        for n, sessions in ((4, 200_000), (2, 20_000), (15, 20_000), (16, 20_000), (1024, 20_000)):
+            run = simulate_round_robin(n, 1.0, sessions, master_seed=601)
+            est = estimate_age_moment_formula(run.batch_summaries)
+            for closed in (n + 1, round_robin_age(n, 1.0)):
+                assert abs(est.delta_hat - closed) < 4 * est.std_err, (n, closed)
 
     def test_single_pair(self):
         run = simulate_round_robin(1, 2.0, 100_000, master_seed=602)
         est = estimate_age_moment_formula(run.batch_summaries)
-        assert abs(est.delta_hat - 1.0) < 4 * est.std_err
+        for closed in (1.0, round_robin_age(1, 2.0)):
+            assert abs(est.delta_hat - closed) < 4 * est.std_err
 
     def test_scalar_sampler_joint_moments(self):
         stream = make_stream(StreamSpec(603, 0))
@@ -572,7 +577,8 @@ class TestRoundRobin:
         # At 2^53 noisy table slopes drew negative ages; 2^64 is no uint64.
         run = simulate_round_robin(n, 1.0, 2000, master_seed=608)
         est = estimate_age_moment_formula(run.batch_summaries)
-        assert abs(est.delta_hat - (n + 1)) < 4 * est.std_err
+        for closed in (n + 1, round_robin_age(n, 1.0)):
+            assert abs(est.delta_hat - closed) < 4 * est.std_err
 
     def test_validation(self):
         with pytest.raises(ValueError):
