@@ -1,17 +1,19 @@
 """Reproducible random-variate generation.
 
-Streams are counter-based: stream ``i`` of a given master seed is a Philox
-generator whose 256-bit counter starts at block ``i * BLOCK_TICKS``.
-Distinct stream indices therefore draw from disjoint counter ranges of the
-same keyed cipher, which is the standard way to get statistically
-independent, order-independent parallel streams.
+Every stream of a given master seed is a window of one PCG64DXSM sequence
+seeded by ``master_seed`` (O'Neill, "PCG: a family of simple fast
+space-efficient statistically good algorithms for random number
+generation", HMC-CS-2014-0905).  Stream ``i`` owns draws
+``[i * 2^64, (i + 1) * 2^64)`` of it, one double a draw, so distinct stream
+indices draw from disjoint windows of the sequence's 2^128 period.  The
+generator jumps ahead by any number of draws in O(1), so a window starts
+where it is needed without drawing what comes before it.
 
-A simulation run owns the block of its ``base_stream_index`` and lays its
+A simulation run owns the window of its ``base_stream_index`` and lays its
 sessions out back to back in it: session ``s`` of rows of ``width``
-uniforms starts ``s * ceil(width / 4)`` ticks into the block (one tick
-holds four uniforms).  A batch of sessions is then one contiguous counter
-range, filled by a single generator call, and any session can still be
-replayed in O(1) with :func:`session_stream`.
+uniforms starts ``s * width`` draws into the window.  A batch of sessions
+is then one contiguous range of draws, filled by a single generator call,
+and any session can still be replayed in O(1) with :func:`session_stream`.
 
 All exponential-family draws go through the inverse CDF so that a draw is
 a fixed, deterministic function of one uniform.  That keeps replay exact,
@@ -38,9 +40,8 @@ from .params import integer_at_least
 
 _MAX_UINT64 = 2**64 - 1
 
-# Counter ticks reserved per stream (one tick = 4 uniform doubles).  A
-# stream would have to draw ~2.7e11 uniforms before touching its neighbor.
-BLOCK_TICKS = 2**36
+# Draws each stream owns; stream i's window starts at draw i * _WINDOW_DRAWS.
+_WINDOW_DRAWS = 2**64
 
 # Smallest uniform the generator grid can emit; zeros are remapped to it so
 # inverse-CDF draws stay strictly positive.
@@ -79,47 +80,42 @@ class StreamSpec:
 
 
 def make_stream(spec: StreamSpec) -> np.random.Generator:
-    """Deterministic generator for ``spec``.
+    """Deterministic generator for ``spec``, at the first draw of its window.
 
     Equal specs emit identical sequences; recreating a handle replays the
     stream from its start.
     """
-    bit_gen = np.random.Philox(key=spec.master_seed)
-    bit_gen.advance(spec.stream_index * BLOCK_TICKS)
-    return np.random.Generator(bit_gen)
-
-
-def row_ticks(width: int) -> int:
-    """Counter ticks one session row of ``width`` uniforms occupies."""
-    return -(-width // 4)
+    return session_stream(spec.master_seed, spec.stream_index, 0, 0)
 
 
 def stream_window(base_stream_index: int, sessions: int, width: int) -> tuple[int, int]:
-    """Counter ticks ``[start, stop)`` that ``sessions`` rows of ``width``
-    uniforms occupy in the block of ``base_stream_index``.
+    """Draws ``[start, stop)`` that ``sessions`` rows of ``width`` uniforms
+    occupy in the window of ``base_stream_index``.
 
-    Raises ``ValueError`` when the rows do not fit in one block, where they
+    Raises ``ValueError`` when the rows do not fit in one window, where they
     would run into the window of ``base_stream_index + 1``.
     """
-    ticks = sessions * row_ticks(width)
-    if ticks > BLOCK_TICKS:
+    draws = sessions * width
+    if draws > _WINDOW_DRAWS:
         raise ValueError(
-            f"{sessions} sessions of {width} uniforms need {ticks} counter ticks, "
-            f"more than the {BLOCK_TICKS} of one stream block; at most "
-            f"{BLOCK_TICKS // row_ticks(width)} sessions fit in one run"
+            f"{sessions} sessions of {width} uniforms need {draws} draws, more than "
+            f"the {_WINDOW_DRAWS} of one stream window; at most "
+            f"{_WINDOW_DRAWS // width} sessions fit in one run"
         )
-    start = base_stream_index * BLOCK_TICKS
-    return start, start + ticks
+    start = base_stream_index * _WINDOW_DRAWS
+    return start, start + draws
 
 
 def session_stream(
     master_seed: int, base_stream_index: int, session: int, width: int
 ) -> np.random.Generator:
     """Generator positioned at the row of ``session`` in a run of rows of
-    ``width`` uniforms: its first ``width`` draws are that session's row."""
-    gen = make_stream(StreamSpec(master_seed, base_stream_index))
-    gen.bit_generator.advance(session * row_ticks(width))
-    return gen
+    ``width`` uniforms: its first ``width`` draws are that session's row.
+    One ``advance`` of the 128-bit state gets there, in O(1)."""
+    spec = StreamSpec(master_seed, base_stream_index)
+    bit_gen = np.random.PCG64DXSM(spec.master_seed)
+    bit_gen.advance(spec.stream_index * _WINDOW_DRAWS + session * width)
+    return np.random.Generator(bit_gen)
 
 
 def fill_stream_rows(
@@ -127,15 +123,13 @@ def fill_stream_rows(
 ) -> np.ndarray:
     """Uniform rows of sessions ``first_session .. first_session + rows - 1``.
 
-    Returns a ``(rows, width)`` view whose row ``i`` equals the first
+    Returns a ``(rows, width)`` array whose row ``i`` equals the first
     ``width`` draws of ``session_stream(master_seed, base_stream_index,
-    first_session + i, width)``.  Rows are padded to whole ticks, so the
-    batch is one contiguous counter range drawn by one generator call.
+    first_session + i, width)``: the rows are one contiguous range of
+    draws, drawn by one generator call.
     """
     gen = session_stream(master_seed, base_stream_index, first_session, width)
-    buf = np.empty((rows, 4 * row_ticks(width)))
-    gen.random(out=buf)
-    return buf[:, :width]
+    return gen.random((rows, width))
 
 
 def _clean_uniform(u) -> np.ndarray:

@@ -21,7 +21,7 @@ worsened variant's bound on the exact one is checked session by session
 on the rows the exact kernel draws.
 
 Sessions are i.i.d.; session ``s`` of a run draws the ``s``-th row of
-the run's counter window (see :mod:`aoilab.sampling`), so results are
+the run's window of draws (see :mod:`aoilab.sampling`), so results are
 independent of worker count and any session replays through
 :func:`aoilab.sampling.session_stream`.
 """
@@ -47,7 +47,6 @@ from .sampling import (
     fill_stream_rows,
     gamma_from_uniform,
     max_exp_from_uniform,
-    row_ticks,
     stream_window,
 )
 
@@ -306,7 +305,7 @@ def sample_coupled_sessions(
     base_stream_index: int = 0,
 ) -> tuple[dict, dict]:
     """``(exact, worsened)`` columns ``y1, y2, y3, z, d, y`` of ``sessions``
-    pairs, each pair drawn from one row of the run's counter window.
+    pairs, each pair drawn from one row of the run's window of draws.
 
     A coupled row is an exact row followed by ``m`` uniforms, one for each
     phase-one round, so ``session_stream(master_seed, base_stream_index, s,
@@ -355,7 +354,7 @@ def sample_coupled_sessions(
 _MAX_BATCHES = 32
 _MIN_BATCH = 32
 
-# Uniforms one compute chunk's padded buffer may hold: 256 KiB of float64.
+# Uniforms one compute chunk's rows may hold: 256 KiB of float64.
 # Each thread holds one chunk, so a larger budget raises peak memory.
 _CHUNK_UNIFORMS = 1 << 15
 
@@ -400,8 +399,8 @@ def _run_batches(
 ) -> SimulationRun:
     """Fill, run ``kernel`` (uniform rows -> columns) and reduce chunk by chunk.
 
-    Compute chunks set the work: the most consecutive rows whose padded
-    uniforms fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
+    Compute chunks set the work: the most consecutive rows whose uniforms
+    fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
     Each fills its rows with one call, runs the kernel once and reduces its
     ``y`` and ``d`` columns at once into sums over the pieces it shares
     with the batches of :func:`_batch_bounds`; its columns are then
@@ -427,7 +426,7 @@ def _run_batches(
     spec = StreamSpec(master_seed, base_stream_index)  # the seed and index as ints
     master_seed, base_stream_index = spec.master_seed, spec.stream_index
     stream_window(base_stream_index, sessions, width)  # raises before any work
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // (4 * row_ticks(width)))
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // width)
     chunks = range(0, sessions, rows)
     bounds = _batch_bounds(sessions)
 
@@ -504,12 +503,12 @@ def simulate_sessions(
     workers: int = 1,
 ) -> SimulationRun:
     """Simulate i.i.d. sessions; session ``s`` draws row ``s`` of the run's
-    counter window in the block of ``base_stream_index``, and
+    draws in the window of ``base_stream_index``, and
     ``session_stream(master_seed, base_stream_index, s, width)`` replays it.
 
     ``workers`` threads of this process split the run into compute chunks
     (one worker runs them on the caller's thread).  A chunk is the most
-    consecutive rows whose padded uniforms fit in 256 KiB, and at least 4
+    consecutive rows whose uniforms fit in 256 KiB, and at least 4
     rows; each thread holds one chunk's uniforms at a time, and each chunk
     is reduced to batch sums as soon as its kernel returns, so memory does
     not grow with ``sessions``.  The sums cover up to 32 batches of

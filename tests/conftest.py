@@ -29,7 +29,7 @@ def fills(monkeypatch):
 
 def _kernel_columns(kernel, width, sessions, master_seed, base_stream_index):
     """Every column of sessions ``0 .. sessions - 1`` of a run: row ``s`` of
-    its counter window through ``kernel``, the rows the batch engine draws."""
+    its window of draws through ``kernel``, the rows the batch engine draws."""
     rows = max(1, (1 << 20) // width)
     parts = [
         kernel(fill_stream_rows(

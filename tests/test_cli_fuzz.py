@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from aoilab import scheme
 from aoilab.expcli import main
-from aoilab.sampling import row_ticks
 
 # Most uniforms one example may fill.  A larger run is skipped before its
 # chunk is allocated, so an example takes well under a second, and no chunk
@@ -168,7 +167,7 @@ def test_every_command_line_exits_with_a_code_and_finite_numbers(argv):
     fill = scheme.fill_stream_rows
 
     def budgeted_fill(master_seed, base_stream_index, first_session, rows, width):
-        spent.append(rows * row_ticks(width) * 4)
+        spent.append(rows * width)
         if sum(spent) > _UNIFORM_BUDGET:
             raise _OverBudget
         return fill(master_seed, base_stream_index, first_session, rows, width)

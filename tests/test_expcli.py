@@ -39,7 +39,7 @@ from aoilab.expcli import (
     main,
     run_sweep,
 )
-from aoilab.sampling import BLOCK_TICKS, row_ticks, stream_window
+from aoilab.sampling import stream_window
 from aoilab.scheme import _ROUND_ROBIN_WIDTH, _exact_width, _worsened_width
 
 
@@ -305,7 +305,7 @@ class TestRunSweep:
         for n in grid:
             params = SchemeParams(n, divisor_adjusted_m(n, n**0.25))
             points.append(max(_worsened_width(params), _exact_width(params)))
-        sessions = BLOCK_TICKS // row_ticks(max(points))
+        sessions = 2**64 // max(points)
         windows = []
         for i, width in enumerate(points):
             windows.append(stream_window(i * _POINT_STRIDE, sessions, width))
@@ -763,17 +763,21 @@ class TestCli:
     def test_topology_at_the_ends_of_the_area_range_pairs_as_at_area_one(
         self, area, tmp_path, capsys
     ):
-        # Scaling the square changes no cell and no destination.
-        outputs = {}
+        # Scaling the square changes no cell, no destination and no count of
+        # violations.
+        outputs, violations = {}, {}
         for value in ("1", area):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 argv = ["topology", "--n", "400", "--m", "4", "--gamma", "3", "--area", value,
                         "--out", str(tmp_path / value)]
                 assert main(argv) == 0
-            assert "violations=158" in capsys.readouterr().out.splitlines()
+            lines = capsys.readouterr().out.splitlines()
+            violations[value] = [line for line in lines if line.startswith("violations=")]
             with open(tmp_path / value / "topology.csv", newline="") as fh:
                 outputs[value] = [(r["cell_id"], r["dest_id"]) for r in csv.DictReader(fh)]
+        assert len(violations["1"]) == 1
+        assert violations[area] == violations["1"]
         assert outputs[area] == outputs["1"]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")

@@ -17,13 +17,11 @@ from aoilab import (
 from aoilab import scheme
 from aoilab.sampling import (
     _TINY_UNIFORM,
-    BLOCK_TICKS,
     _gamma_quantile_table,
     exp_from_uniform,
     fill_stream_rows,
     gamma_from_uniform,
     max_exp_from_uniform,
-    row_ticks,
     session_stream,
     stream_window,
 )
@@ -66,26 +64,40 @@ class TestStreams:
             StreamSpec(0, 2**64)
 
     def test_fill_stream_rows_matches_make_stream(self):
-        # Session s starts s * ceil(width / 4) ticks into the base block, so
-        # the rows are consecutive slices of the base stream, padded to
-        # whole ticks, and session_stream replays each one.
+        # Session s starts s * width draws into the base window, so the rows
+        # are consecutive width-slices of the base stream, with nothing
+        # between them, and session_stream replays each one.
         for width in (3, 8, 9):
-            padded = 4 * row_ticks(width)
             rows = fill_stream_rows(55, 100, 3, 6, width)
-            block = make_stream(StreamSpec(55, 100))
-            block.random(3 * padded)
-            assert np.array_equal(rows, block.random((6, padded))[:, :width])
+            assert rows.shape == (6, width)
+            window = make_stream(StreamSpec(55, 100)).random(9 * width)
+            assert np.array_equal(rows.ravel(), window[3 * width :])
             for i in range(6):
                 expected = session_stream(55, 100, 3 + i, width).random(width)
                 assert np.array_equal(rows[i], expected)
 
     def test_stream_window_fills_at_most_one_block(self):
-        width = 147
-        most = BLOCK_TICKS // row_ticks(width)
-        start, stop = stream_window(5, most, width)
-        assert start == 5 * BLOCK_TICKS and stop <= 6 * BLOCK_TICKS
-        with pytest.raises(ValueError, match="counter ticks"):
-            stream_window(5, most + 1, width)
+        # Rows of 16 draws fill a window exactly: the fullest run ends at the
+        # next stream's first draw, and one more session is refused.
+        for index in (5, 2**64 - 1):
+            start, stop = stream_window(index, 2**60, 16)
+            assert (start, stop) == (index * 2**64, (index + 1) * 2**64)
+            with pytest.raises(ValueError, match=rf"need {2**64 + 16} draws"):
+                stream_window(index, 2**60 + 1, 16)
+        # Rows of 147 leave 100 draws of the window unused.
+        most = 2**64 // 147
+        assert stream_window(5, most, 147) == (5 * 2**64, 6 * 2**64 - 100)
+        with pytest.raises(ValueError, match=f"one stream window; at most {most} sessions"):
+            stream_window(5, most + 1, 147)
+
+    @pytest.mark.parametrize("index", [0, 2**64 - 2])
+    def test_next_stream_starts_2_64_draws_on(self, index):
+        # Stream i + 1 is stream i advanced by 2^64 draws, draw for draw,
+        # also at the top of the 2^128 period.
+        ahead = make_stream(StreamSpec(77, index))
+        ahead.bit_generator.advance(2**64)
+        following = make_stream(StreamSpec(77, index + 1))
+        assert np.array_equal(ahead.random(1000), following.random(1000))
 
 
 class TestSampleExp:
@@ -310,9 +322,9 @@ class TestGammaFromUniform:
     def test_first_build_on_threads_is_bit_identical(self, fills, monkeypatch):
         # Four threads on any machine, switching every microsecond, each
         # building the cleared table for its first chunk at once: 512 rows
-        # of 28 padded uniforms in chunks of 128 rows.
+        # of 27 uniforms in chunks of 128 rows.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 128 * 28)
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 128 * 27)
         params = SchemeParams(4096, 8)
         _gamma_quantile_table.cache_clear()
         interval = sys.getswitchinterval()

@@ -384,7 +384,7 @@ class TestMomentSummary:
         assert sums.sum(axis=0).tolist() == [30, 2.5, 4.5, 6.5, 4.0]
 
     def test_bit_identical_across_worker_counts(self, fills):
-        # 20 000 rows of 16 padded uniforms make 10 chunks of up to 2048.
+        # 20 000 rows of 15 uniforms make 10 chunks of up to 2184.
         params = SchemeParams(64, 4)
         runs = []
         for workers in (1, 4, 16):
@@ -612,12 +612,12 @@ class TestSimulateSessions:
             simulate_sessions(SchemeParams(8, 2), 0)
 
     def test_rejects_run_past_its_counter_window_before_allocating(self):
-        # 2^40 sessions do not fit the counter window; the check must
-        # refuse the run before any chunk is drawn.
-        with pytest.raises(ValueError, match="counter ticks"):
-            simulate_sessions(SchemeParams(65536, 16), 2**40)
-        with pytest.raises(ValueError, match="counter ticks"):
-            simulate_round_robin(1024, 1.0, 2**40)
+        # 2^64 sessions of two or more uniforms do not fit the window of
+        # 2^64 draws; the check must refuse the run before any chunk is drawn.
+        with pytest.raises(ValueError, match="draws, more than the"):
+            simulate_sessions(SchemeParams(65536, 16), 2**64)
+        with pytest.raises(ValueError, match="draws, more than the"):
+            simulate_round_robin(1024, 1.0, 2**64)
 
     def test_default_batches_hold_at_least_32_sessions(self):
         params = SchemeParams(64, 4)
@@ -667,9 +667,9 @@ class TestSimulateSessions:
                 simulate_sessions(SchemeParams(64, 4), 1000, workers=workers)
             with pytest.raises(ValueError, match=match):
                 simulate_round_robin(64, 1.0, 1000, workers=workers)
-            # Refused before the counter window of 2^40 sessions is checked.
+            # Refused before the window of 2^64 sessions is checked.
             with pytest.raises(ValueError, match=match):
-                simulate_sessions(SchemeParams(65536, 16), 2**40, workers=workers)
+                simulate_sessions(SchemeParams(65536, 16), 2**64, workers=workers)
 
 
 @pytest.fixture
@@ -703,9 +703,9 @@ def _assert_regrouped_run(a, b):
 
 class TestBatchWorkers:
     # SchemeParams(64, 8) has 8 cells, below the gamma table's shape floor,
-    # so phase two stays per cell: rows hold 27 uniforms, padded to 28.  A
-    # chunk holds 32768 // 28 = 1170 rows, so 2000 sessions make two chunks,
-    # of 1170 and 830 rows.
+    # so phase two stays per cell: rows hold 27 uniforms.  A chunk holds
+    # 32768 // 27 = 1213 rows, so 2000 sessions make two chunks, of 1213 and
+    # 787 rows.
 
     def test_threads_bounded_by_cpus_and_batches(self, executors, monkeypatch):
         params = SchemeParams(64, 8)
@@ -730,8 +730,8 @@ class TestBatchWorkers:
             return kernel(u, params, mode)
 
         monkeypatch.setattr(scheme, "_worsened_kernel", failing)
-        # Room for 64 rows of 28 uniforms a chunk.
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 28)
+        # Room for 64 rows of 27 uniforms a chunk.
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 27)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="kernel failed"):
             simulate_sessions(SchemeParams(64, 8), 100, workers=2)
@@ -776,7 +776,7 @@ class TestBatchWorkers:
             with pytest.raises(ValueError, match=re.escape(
                 "the simulated sums at rate=1e-300 leave the float64 range"
             )):
-                simulate_round_robin(8, 1e-300, 10_000, workers=workers)
+                simulate_round_robin(8, 1e-300, 20_000, workers=workers)
         assert executors == ([] if workers == 1 else [2, 2])
 
     def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
@@ -785,8 +785,8 @@ class TestBatchWorkers:
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
         params = SchemeParams(256, 32)
         serial = simulate_sessions(params, 4096, master_seed=6)
-        # 8 cells keep phase two per cell: rows of 75 uniforms, padded to 76,
-        # make 10 chunks of up to 431 rows across 32 batches of 128.
+        # 8 cells keep phase two per cell: rows of 75 uniforms make 10 chunks
+        # of up to 436 rows across 32 batches of 128.
         assert len(fills) == 10
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -809,7 +809,7 @@ _CHUNK_CASES = {
         SchemeParams(64, 4), 2000, variant="exact", master_seed=11, workers=w),
     "exact-wide": lambda w: simulate_sessions(
         SchemeParams(1024, 8), 300, variant="exact", master_seed=11, workers=w),
-    "round-robin": lambda w: simulate_round_robin(1024, 1.0, 10_000, master_seed=11, workers=w),
+    "round-robin": lambda w: simulate_round_robin(1024, 1.0, 20_000, master_seed=11, workers=w),
     "quarter-4096": lambda w: simulate_sessions(
         SchemeParams(4096, 8), 10_000, master_seed=12, base_stream_index=1, workers=w),
     "quarter-16384": lambda w: simulate_sessions(
@@ -847,7 +847,7 @@ class TestChunkPlan:
     @pytest.mark.parametrize("case", ["exact-wide", "quarter-4096", "round-robin", "remainder"])
     def test_chunks_cover_whole_batches_within_budget(self, case, fills, monkeypatch):
         # Chunks are runs of rows, apart from the batches: they tile the run
-        # in order, each holds at most max(budget, 4 rows) padded uniforms,
+        # in order, each holds at most max(budget, 4 rows) uniforms,
         # each but the last is as long as that allows, and the plan is the
         # same for any worker count.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
@@ -858,19 +858,19 @@ class TestChunkPlan:
             plans.append(sorted(fills))
         assert plans[0] == plans[1] == plans[2]
 
-        padded = 4 * (-(-plans[0][0][2] // 4))
-        room = max(scheme._CHUNK_UNIFORMS, 4 * padded)
+        width = plans[0][0][2]
+        room = max(scheme._CHUNK_UNIFORMS, 4 * width)
         position = 0
         for first, rows, _ in plans[0]:
             assert first == position  # chunks tile the run in order
-            assert rows * padded <= room
+            assert rows * width <= room
             if first + rows < run.sessions:  # one more row would not fit
-                assert (rows + 1) * padded > room
+                assert (rows + 1) * width > room
             position += rows
         assert position == run.sessions
         expected = {
-            "exact-wide": (20, 15), "quarter-4096": (9, 1170),
-            "round-robin": (2, 8192), "remainder": (1, 100),
+            "exact-wide": (20, 15), "quarter-4096": (9, 1213),
+            "round-robin": (2, 10_922), "remainder": (1, 100),
         }
         assert (len(plans[0]), plans[0][0][1]) == expected[case]
 
