@@ -70,13 +70,45 @@ def order_stat_moments(k: int, n: int, rate: float) -> OrderStatMoments:
     """Moments of the k-th smallest of n i.i.d. exponentials with ``rate``.
 
     mean = (H_n - H_{n-k}) / rate, variance = (G_n - G_{n-k}) / rate^2.
+    Both differences are taken without cancellation: ``math.fsum`` of their
+    k terms up to k = 128, and above it the expansions of :func:`harmonic`
+    and :func:`gen_harmonic` differenced term by term (see
+    :func:`_sum_differences`), within 1.1e-14 relative of the exact sums.
+    Where n - k <= 128 < k the sums are subtracted as they are; n >= 2 (n - k)
+    there bounds the loss, measured at 6e-14 relative.
     """
     k = integer_at_least("k", k, 1)
     n = integer_at_least("n", n, k, " (= k)")
     rate = finite_positive("rate", rate)
-    mean = (harmonic(n) - harmonic(n - k)) / rate
-    variance = (gen_harmonic(n) - gen_harmonic(n - k)) / (rate * rate)
+    node_count_float(n)
+    if k <= _FSUM_CAP:
+        terms = range(n - k + 1, n + 1)
+        h, g = math.fsum(1 / j for j in terms), math.fsum(1 / (j * j) for j in terms)
+    elif n - k <= _FSUM_CAP:
+        h, g = harmonic(n) - harmonic(n - k), gen_harmonic(n) - gen_harmonic(n - k)
+    else:
+        h, g = _sum_differences(k, n)
+    mean = h / rate
+    variance = g / (rate * rate)
     return OrderStatMoments(mean=mean, variance=variance, second_moment=variance + mean * mean)
+
+
+def _sum_differences(k: int, n: int) -> tuple[float, float]:
+    """``(H_n - H_{n-k}, G_n - G_{n-k})`` for n - k > 128 from the
+    expansions of :func:`harmonic` and :func:`gen_harmonic`.
+
+    With ``a = 1/n`` and ``b = 1/(n - k)``, every difference of powers
+    ``b^p - a^p`` is ``d`` times a sum of positive terms, where
+    ``d = b - a = (k/n) b`` is computed without subtracting; the log terms
+    differ by ``-log1p(-k/n)``.
+    """
+    r = k / n  # correctly rounded, whatever the size of the integers
+    a, b = 1 / n, 1 / (n - k)
+    d = r * b
+    s1, s2 = a + b, a * a + b * b
+    h = -math.log1p(-r) - d / 2 + d * s1 / 12 - d * s1 * s2 / 120
+    g = d * (1 - s1 / 2 + (s2 + a * b) / 6 - (s2 * s2 + a * b * (s2 - a * b)) / 30)
+    return h, g
 
 
 @dataclass(frozen=True)

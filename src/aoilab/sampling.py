@@ -111,8 +111,19 @@ def session_stream(
 ) -> np.random.Generator:
     """Generator positioned at the row of ``session`` in a run of rows of
     ``width`` uniforms: its first ``width`` draws are that session's row.
-    One ``advance`` of the 128-bit state gets there, in O(1)."""
+    One ``advance`` of the 128-bit state gets there, in O(1).
+
+    Raises ``ValueError`` for a row that ends past the window of
+    ``base_stream_index``, in the next stream's draws.
+    """
     spec = StreamSpec(master_seed, base_stream_index)
+    session = integer_at_least("session", session, 0)
+    width = integer_at_least("width", width, 0)
+    if (session + 1) * width > _WINDOW_DRAWS:
+        raise ValueError(
+            f"session {session}'s row of {width} uniforms ends past its stream window, "
+            f"which holds sessions 0 to {_WINDOW_DRAWS // width - 1}"
+        )
     bit_gen = np.random.PCG64DXSM(spec.master_seed)
     bit_gen.advance(spec.stream_index * _WINDOW_DRAWS + session * width)
     return np.random.Generator(bit_gen)
@@ -126,8 +137,10 @@ def fill_stream_rows(
     Returns a ``(rows, width)`` array whose row ``i`` equals the first
     ``width`` draws of ``session_stream(master_seed, base_stream_index,
     first_session + i, width)``: the rows are one contiguous range of
-    draws, drawn by one generator call.
+    draws, drawn by one generator call.  Rows that end past the window of
+    ``base_stream_index`` are refused as in :func:`stream_window`.
     """
+    stream_window(base_stream_index, first_session + rows, width)
     gen = session_stream(master_seed, base_stream_index, first_session, width)
     return gen.random((rows, width))
 

@@ -8,12 +8,12 @@ Two variants are sampled:
 * ``exact`` - cells run phases one and three independently and only the
   slowest cell's total matters; stochastically faster than ``worsened``.
 
-Delivery of the tagged pair's update happens inside phase three after a
-uniform number of full rounds.  Two models of its final in-cell hop are
-supported: ``independent`` draws a fresh delay (matching the closed-form
-delivery wait, at the price of occasionally placing the delivery after the
-session end) and ``coupled`` reuses the tagged cell's own draw from that
-round, which guarantees delivery-before-session-end on every path.
+The tagged pair's update is delivered inside phase three, by a relay in a
+uniform round.  Two models differ only in the tagged round's value: under
+``independent`` the relay is drawn apart from it, so delivery may fall
+after the session ends; under ``coupled`` the round is the max of the relay
+and the other cells', so it never does.  Both give ``D`` and ``Y`` the
+marginals of the closed form.
 
 :func:`sample_coupled_sessions` draws (exact, worsened) pairs from one
 row each: an exact row followed by one uniform per phase-one round, so the
@@ -166,41 +166,34 @@ def _worsened_width(params: SchemeParams) -> int:
     return 2 * params.m + _phase_two_width(params) + 3
 
 
+def _phase_three(rounds: np.ndarray, j: np.ndarray, own: np.ndarray) -> tuple:
+    """Phase three's length ``y3`` and delivery wait ``z`` from one running
+    sum over its ``(sessions, m)`` round values: ``y3`` is the whole sum and
+    ``z`` the sum before round ``j`` plus the tagged relay ``own``.  When
+    ``own`` is at most round ``j``'s value, ``z`` is the running sum through
+    round ``j`` with ``own`` in its place; rounding is monotone and every
+    round is non-negative, so ``z <= y3`` holds exactly in floating point."""
+    csum = np.cumsum(rounds, axis=1)
+    prev = np.take_along_axis(csum, np.maximum(j - 1, 0)[:, None], axis=1)[:, 0]
+    return csum[:, -1], np.where(j > 0, prev, 0.0) + own
+
+
 def _worsened_kernel(u: np.ndarray, params: SchemeParams, mode: DeliveryMode) -> dict:
     n, m, cells = params.n, params.m, params.cells
     lam = params.lambda_intra
     w2 = _phase_two_width(params)
 
-    u1 = u[:, :m]
-    u2 = u[:, m : m + w2]
-    u3 = u[:, m + w2 : m + w2 + m]
-    ju = u[:, -3]
-    ua = u[:, -2]
-    ub = u[:, -1]
-
-    y1 = max_exp_from_uniform(u1, n, lam).sum(axis=1)
-    y2 = _phase_two(u2, params)
-    rounds = max_exp_from_uniform(u3, cells, lam)  # (sessions, m)
-
-    j = np.minimum((ju * m).astype(np.int64), m - 1)
-    csum = np.cumsum(rounds, axis=1)
-    prev = np.take_along_axis(csum, np.maximum(j - 1, 0)[:, None], axis=1)[:, 0]
-    wait = np.where(j > 0, prev, 0.0)
-
-    if mode == DeliveryMode.INDEPENDENT:
-        y3 = csum[:, -1]
-        z = wait + exp_from_uniform(ua, lam)
-    else:
-        own = exp_from_uniform(ua, lam)
-        others = max_exp_from_uniform(ub, cells - 1, lam)
-        round_j = np.maximum(own, others)
-        # Rebuild y3 from the same partials as z so z <= y3 holds exactly
-        # in floating point (additions of non-negatives are monotone).
-        at_j = np.take_along_axis(csum, j[:, None], axis=1)[:, 0]
-        tail = csum[:, -1] - at_j
-        y3 = (wait + round_j) + tail
-        z = wait + own
-    return _columns(y1, y2, y3, z)
+    y1 = max_exp_from_uniform(u[:, :m], n, lam).sum(axis=1)
+    y2 = _phase_two(u[:, m : m + w2], params)
+    rounds = max_exp_from_uniform(u[:, m + w2 : m + w2 + m], cells, lam)  # (sessions, m)
+    j = np.minimum((u[:, -3] * m).astype(np.int64), m - 1)
+    own = exp_from_uniform(u[:, -2], lam)
+    # The two delivery models differ only here.  Coupled: the tagged relay
+    # is one of round j's, which is the max of it and the other cells'
+    # max.  Independent rows draw that max and never read it.
+    if mode == DeliveryMode.COUPLED:
+        rounds[np.arange(j.size), j] = np.maximum(own, max_exp_from_uniform(u[:, -1], cells - 1, lam))
+    return _columns(y1, y2, *_phase_three(rounds, j, own))
 
 
 def _exact_width(params: SchemeParams) -> int:
@@ -327,7 +320,6 @@ def sample_coupled_sessions(
     m, cells = params.m, params.cells
     width = _exact_width(params) + m
     sessions = integer_at_least("sessions", sessions, 1)
-    stream_window(base_stream_index, sessions, width)  # raises before any work
     u = fill_stream_rows(master_seed, base_stream_index, 0, sessions, width)
     rounds1, y2, relays, j = draws = _exact_draws(u, params)
 
@@ -337,12 +329,9 @@ def sample_coupled_sessions(
     rounds = max_exp_from_uniform(u[:, -m:], cells, params.lambda_intra)
     if rounds1 is not None:
         rounds = np.maximum(rounds1.max(axis=1), rounds)
-    # Phase three from running sums over rounds, like the exact half's.
-    csum = np.cumsum(relays.max(axis=1), axis=1)
-    wait = np.take_along_axis(csum, np.maximum(j - 1, 0)[:, None], axis=1)[:, 0]
     own = np.take_along_axis(relays[:, 0, :], j[:, None], axis=1)[:, 0]
-    z = np.where(j > 0, wait, 0.0) + own
-    return _exact_columns(*draws), _columns(rounds.sum(axis=1), y2, csum[:, -1], z)
+    worsened = _columns(rounds.sum(axis=1), y2, *_phase_three(relays.max(axis=1), j, own))
+    return _exact_columns(*draws), worsened
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,19 @@ class TestOrderStatMoments:
                 order_stat_moments(1, 3, rate)
 
     def test_max_mean_is_harmonic_exactly(self):
-        for n in (1, 2, 7, 100):
-            assert order_stat_moments(n, n, 2.0).mean == harmonic(n) / 2.0
+        for n in (1, 2, 7, 100, 128, 129, 300, 10**6, 2**53):
+            m = order_stat_moments(n, n, 2.0)
+            assert (m.mean, m.variance) == (harmonic(n) / 2.0, gen_harmonic(n) / 4.0), n
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 2**53])
+    @pytest.mark.parametrize("k", [1, 2, 128, 129, 1000])
+    def test_few_of_many_without_cancellation(self, k, n):
+        # The minimum of many exponentials and its neighbours: the sums of
+        # the k terms, not differences of two sums near log n and pi^2/6.
+        terms = range(n - k + 1, n + 1)
+        m = order_stat_moments(k, n, 1.0)
+        assert m.mean == pytest.approx(math.fsum(1 / j for j in terms), rel=1e-13, abs=0)
+        assert m.variance == pytest.approx(math.fsum(1 / (j * j) for j in terms), rel=1e-13, abs=0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=499))

@@ -90,6 +90,22 @@ class TestStreams:
         with pytest.raises(ValueError, match=f"one stream window; at most {most} sessions"):
             stream_window(5, most + 1, 147)
 
+    def test_replay_refuses_rows_outside_the_window(self):
+        # Rows of 5 leave one draw of a window unused: the last row that
+        # fits is followed by that draw and then by the next stream's first.
+        last = 2**64 // 5 - 1
+        row = session_stream(1, 0, last, 5).random(7)
+        assert row[6] == make_stream(StreamSpec(1, 1)).random()
+        assert np.array_equal(fill_stream_rows(1, 0, last, 1, 5)[0], row[:5])
+        with pytest.raises(ValueError, match="^session must be >= 0, got -1$"):
+            session_stream(1, 0, -1, 5)
+        with pytest.raises(ValueError, match=f"which holds sessions 0 to {last}$"):
+            session_stream(1, 0, last + 1, 5)
+        with pytest.raises(ValueError, match=f"at most {last + 1} sessions fit"):
+            fill_stream_rows(1, 0, last + 1, 2, 5)
+        with pytest.raises(ValueError, match=f"at most {last + 1} sessions fit"):
+            fill_stream_rows(1, 0, last, 2, 5)
+
     @pytest.mark.parametrize("index", [0, 2**64 - 2])
     def test_next_stream_starts_2_64_draws_on(self, index):
         # Stream i + 1 is stream i advanced by 2^64 draws, draw for draw,

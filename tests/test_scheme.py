@@ -29,7 +29,7 @@ from aoilab import (
     simulate_sessions,
 )
 from aoilab import scheme
-from aoilab.sampling import exp_from_uniform, session_stream
+from aoilab.sampling import exp_from_uniform, fill_stream_rows, session_stream
 from aoilab.scheme import (
     _exact_kernel,
     _exact_width,
@@ -313,6 +313,18 @@ class TestWorsenedDelivery:
         run = session_columns(params, 10_000, delivery=DeliveryMode.COUPLED, master_seed=404)
         assert np.all(run.z <= run.y3)
         assert np.all(run.d <= run.y)
+
+    @pytest.mark.parametrize("n,m", [(1024, 8), (64, 1), (2, 2)])
+    def test_models_differ_only_in_the_tagged_round(self, n, m):
+        # On the same rows the two models share y1, y2 and z bit for bit:
+        # only round j's value, and so y3, can differ.
+        params = SchemeParams(n, m)
+        u = fill_stream_rows(405, 0, 0, 5000, _worsened_width(params))
+        independent = _worsened_kernel(u, params, DeliveryMode.INDEPENDENT)
+        coupled = _worsened_kernel(u, params, DeliveryMode.COUPLED)
+        for name in ("y1", "y2", "z"):
+            assert np.array_equal(independent[name], coupled[name]), name
+        assert np.all(coupled["z"] <= coupled["y3"])
 
 
 class TestPhaseTwo:
