@@ -1,6 +1,7 @@
 """Closed-form layer: harmonic sums, order statistics, phase moments, age."""
 
 import csv
+import itertools
 import math
 import re
 import sys
@@ -41,8 +42,9 @@ GOLDEN_TOLERANCES = {
 }
 
 
-# Both sides of the fsum/expansion switch at 128, and far beyond it.
-EXACT_SUM_NS = (1, 2, 4, 127, 128, 129, 4000, 10**4)
+# Both sides of the fsum/expansion switch at 256, the fsum range below it,
+# and far beyond it.
+EXACT_SUM_NS = (1, 2, 4, 127, 128, 129, 255, 256, 257, 4000, 10**4)
 
 
 def exact_sums(power):
@@ -149,19 +151,28 @@ class TestOrderStatMoments:
                 order_stat_moments(1, 3, rate)
 
     def test_max_mean_is_harmonic_exactly(self):
-        for n in (1, 2, 7, 100, 128, 129, 300, 10**6, 2**53):
+        for n in (1, 2, 7, 100, 128, 129, 255, 256, 257, 300, 10**6, 2**53):
             m = order_stat_moments(n, n, 2.0)
             assert (m.mean, m.variance) == (harmonic(n) / 2.0, gen_harmonic(n) / 4.0), n
 
-    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 2**53])
-    @pytest.mark.parametrize("k", [1, 2, 128, 129, 1000])
+    @pytest.mark.parametrize(
+        "k,n",
+        [
+            *itertools.product([1, 2, 128, 129, 1000], [10**6, 10**9, 10**12, 2**53]),
+            # Most of many: the split at max(n - k, 256) with k near n, where
+            # a log term of the form -log1p(-k/n) would cancel.
+            *((n - d, n) for n in (10**4, 10**6) for d in (129, 200)),
+            # Few of a few hundred, where subtracting H_n - H_{n-k} lost 5.6e-14.
+            (132, 254), (130, 258), (423, 676),
+        ],
+    )
     def test_few_of_many_without_cancellation(self, k, n):
-        # The minimum of many exponentials and its neighbours: the sums of
-        # the k terms, not differences of two sums near log n and pi^2/6.
+        # The sums of the k terms, not differences of two sums near log n
+        # and pi^2/6.
         terms = range(n - k + 1, n + 1)
         m = order_stat_moments(k, n, 1.0)
-        assert m.mean == pytest.approx(math.fsum(1 / j for j in terms), rel=1e-13, abs=0)
-        assert m.variance == pytest.approx(math.fsum(1 / (j * j) for j in terms), rel=1e-13, abs=0)
+        assert m.mean == pytest.approx(math.fsum(1 / j for j in terms), rel=2e-15, abs=0)
+        assert m.variance == pytest.approx(math.fsum(1 / (j * j) for j in terms), rel=2e-15, abs=0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=499))
@@ -231,6 +242,17 @@ class TestClosedFormAge:
             closed_form_age(SchemeParams(64, 4, lam, lam_t))
         with pytest.raises(ValueError, match=match):
             asymptotic_age(64, 0.25, lam, lam_t)
+
+    def test_huge_n_without_m_to_the_sixth(self):
+        # Phase two's moments go through q = n/m^3 = 2^200, so neither m^5
+        # nor m^6 (2^1200) is formed; the age is about (21/8) n^(1/4) log n.
+        params = SchemeParams(2**800, 2**200)
+        total = closed_form_age(params).total
+        assert total == pytest.approx(2.343e63, rel=1e-3)
+        pm = phase_moments(params)
+        assert pm.e_y2 == pytest.approx(2.0**200 * harmonic(2**200), rel=1e-15)
+        assert pm.e_y2_sq == pytest.approx(pm.e_y2**2, rel=1e-15)  # the variance is negligible
+        assert asymptotic_age(2**800, 0.25) == pytest.approx(total, rel=2e-3)
 
     def test_assembly_identity(self):
         params = SchemeParams(256, 8, 1.3, 0.7)
