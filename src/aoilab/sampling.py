@@ -43,8 +43,8 @@ _MAX_UINT64 = 2**64 - 1
 # Draws each stream owns; stream i's window starts at draw i * _WINDOW_DRAWS.
 _WINDOW_DRAWS = 2**64
 
-# Smallest uniform the generator grid can emit; zeros are remapped to it so
-# inverse-CDF draws stay strictly positive.
+# Smallest positive uniform the generator grid emits; smaller ones (its
+# zero) are clamped to it so inverse-CDF draws stay strictly positive.
 _TINY_UNIFORM = 2.0**-53
 
 # Gamma quantile tables: cubic Hermite pieces between knots spaced evenly in
@@ -146,9 +146,11 @@ def fill_stream_rows(
 
 
 def _clean_uniform(u) -> np.ndarray:
-    """Fresh array of ``u`` with u == 0 remapped to the smallest positive
-    uniform (avoids -log(0)); the transforms below then compute in it."""
-    return np.where(u == 0.0, _TINY_UNIFORM, u)
+    """Fresh float64 array of ``u`` with uniforms below 2^-53, the smallest
+    positive uniform of the generator grid, clamped to it (avoids -log(0));
+    the transforms below then compute in it.  :func:`gamma_from_uniform`
+    clamps with the same rule."""
+    return np.maximum(u, _TINY_UNIFORM, out=np.empty(np.shape(u)))
 
 
 def _result(out: np.ndarray, u):
@@ -156,7 +158,8 @@ def _result(out: np.ndarray, u):
 
 
 def exp_from_uniform(u, rate: float):
-    """Inverse-CDF exponential transform: -log(1 - u) / rate."""
+    """Inverse-CDF exponential transform: -log(1 - u) / rate.  Uniforms
+    below 2^-53 are clamped to it."""
     out = _clean_uniform(u)
     np.negative(out, out=out)
     np.log1p(out, out=out)
@@ -170,7 +173,7 @@ def max_exp_from_uniform(u, count: int, rate: float):
     Inverts the CDF (1 - e^(-rate x))**count.  Computed via
     -log(-expm1(log(u)/count)) for accuracy at large ``count``.
     ``count == 0`` yields 0 (empty max), ``count == 1`` reduces exactly to
-    :func:`exp_from_uniform`.
+    :func:`exp_from_uniform`.  Uniforms below 2^-53 are clamped to it.
     """
     if count == 0:
         return np.zeros_like(u) if np.ndim(u) else 0.0

@@ -343,13 +343,18 @@ def sample_coupled_sessions(
 _MAX_BATCHES = 32
 _MIN_BATCH = 32
 
-# Uniforms one compute chunk's rows may hold: 256 KiB of float64.
-# Each thread holds one chunk, so a larger budget raises peak memory.
-_CHUNK_UNIFORMS = 1 << 15
+# Uniforms one reduction block's rows may hold: 256 KiB of float64.  Blocks
+# fix how every batch sum is grouped, so another budget moves bits.
+_BLOCK_UNIFORMS = 1 << 15
 
-# Fewest rows a chunk holds: 1-row chunks of the widest rows cost more time
+# Uniforms one compute chunk may hold: 512 KiB of float64 in whole blocks,
+# at least one.  Chunks only schedule work, so any budget gives the same
+# bits; each thread holds one chunk, so a larger budget raises peak memory.
+_CHUNK_UNIFORMS = 1 << 16
+
+# Fewest rows a block holds: 1-row blocks of the widest rows cost more time
 # per session than 4-row ones.
-_MIN_CHUNK_ROWS = 4
+_MIN_BLOCK_ROWS = 4
 
 
 def _batch_bounds(count: int) -> list[int]:
@@ -362,18 +367,21 @@ def _batch_bounds(count: int) -> list[int]:
     return [i * count // k for i in range(k + 1)]
 
 
-def _chunk_sums(y: np.ndarray, d: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
+def _chunk_sums(
+    y: np.ndarray, d: np.ndarray, cuts: Sequence[int], starts: Sequence[int]
+) -> np.ndarray:
     """Sums of ``Y``, ``Y^2``, ``D`` and ``y_{j-1} d_j`` over the pieces of
     one chunk's rows that start at ``cuts``, one row a piece: the last four
-    fields of :class:`MomentSummary`.  The chunk's first row pairs with the
-    previous chunk's last ``y``, so its entry here is 0.
+    fields of :class:`MomentSummary`.  Each block's first row, at
+    ``starts``, pairs with the previous block's last ``y``, so its entry
+    here is 0; every piece lies within one block.
     """
     terms = np.empty((4, y.size))
     terms[0] = y
     np.multiply(y, y, out=terms[1])
     terms[2] = d
-    terms[3, 0] = 0.0
     np.multiply(y[:-1], d[1:], out=terms[3, 1:])
+    terms[3, starts] = 0.0
     return np.add.reduceat(terms, cuts, axis=1).T
 
 
@@ -386,24 +394,28 @@ def _run_batches(
     workers: int,
     rates: str,
 ) -> SimulationRun:
-    """Fill, run ``kernel`` (uniform rows -> columns) and reduce chunk by chunk.
+    """Fill, run ``kernel`` (uniform rows -> columns) and reduce block by block.
 
-    Compute chunks set the work: the most consecutive rows whose uniforms
-    fit in ``_CHUNK_UNIFORMS``, and at least ``_MIN_CHUNK_ROWS``.
-    Each fills its rows with one call, runs the kernel once and reduces its
-    ``y`` and ``d`` columns at once into sums over the pieces it shares
-    with the batches of :func:`_batch_bounds`; its columns are then
+    The plan has two levels.  Reduction blocks fix every floating-point
+    grouping: a block is the most consecutive rows whose uniforms fit in
+    ``_BLOCK_UNIFORMS``, and at least ``_MIN_BLOCK_ROWS``.  Compute chunks
+    only schedule work: a chunk is the most whole blocks whose uniforms fit
+    in ``_CHUNK_UNIFORMS``, and at least one block.  Each chunk fills its
+    rows with one call, runs the kernel once and reduces its ``y`` and
+    ``d`` columns at once into sums over the pieces each of its blocks
+    shares with the batches of :func:`_batch_bounds`; its columns are then
     dropped.  Chunks run on up to ``workers`` threads of this process (the
     fill and the kernels release the GIL), or inline on the caller's thread
-    when only one would run.  The caller's thread adds the pieces, and the
-    product of the previous chunk's last ``y`` and each chunk's first ``d``
-    (it belongs to the batch of that ``d``), into the batch sums in chunk
-    order.  After the last chunk it adds the wrap, the run's last ``y``
-    times its first ``d``, to batch 0: the timeline's identity (see
-    :func:`integrate_age_timeline`) lets the run's first session follow its
-    last.  The chunk plan depends only on ``width`` and ``sessions``, so
-    every sum is the same for any worker count; memory holds a few chunks
-    per thread, whatever the session count.
+    when only one would run.  The caller's thread adds, block by block in
+    block order, the product of the previous block's last ``y`` and the
+    block's first ``d`` (it belongs to the batch of that ``d``), then the
+    block's pieces, into the batch sums.  After the last block it adds the
+    wrap, the run's last ``y`` times its first ``d``, to batch 0: the
+    timeline's identity (see :func:`integrate_age_timeline`) lets the run's
+    first session follow its last.  Kernel rows do not depend on the rows
+    around them and the blocks depend only on ``width`` and ``sessions``,
+    so every sum is the same for any chunk budget and any worker count;
+    memory holds a few chunks per thread, whatever the session count.
 
     Sums that leave the float64 range, batch sums or their totals over the
     run, raise ``ValueError`` naming ``rates``, the run's rates as text,
@@ -415,7 +427,8 @@ def _run_batches(
     spec = StreamSpec(master_seed, base_stream_index)  # the seed and index as ints
     master_seed, base_stream_index = spec.master_seed, spec.stream_index
     stream_window(base_stream_index, sessions, width)  # raises before any work
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_UNIFORMS // width)
+    block = max(_MIN_BLOCK_ROWS, _BLOCK_UNIFORMS // width)
+    rows = block * max(1, _CHUNK_UNIFORMS // (block * width))
     chunks = range(0, sessions, rows)
     bounds = _batch_bounds(sessions)
 
@@ -426,27 +439,39 @@ def _run_batches(
         with np.errstate(over="ignore", invalid="ignore"):
             cols = kernel(fill_stream_rows(master_seed, base_stream_index, lo, hi - lo, width))
             y, d = cols["y"], cols["d"]
-            # Pieces go to consecutive batches, from the batch of row lo on.
-            first = bisect_right(bounds, lo) - 1
-            cuts = [lo, *bounds[first + 1 : bisect_left(bounds, hi)]]
-            sums = _chunk_sums(y, d, [c - lo for c in cuts])
-            return first, sums, int(np.count_nonzero(d > y)), d[0], y[-1]
+            # A block's pieces go to consecutive batches, from the batch of
+            # its first row on.
+            blocks, cuts = [], []
+            for start in range(0, hi - lo, block):
+                end = min(start + block, hi - lo)
+                first = bisect_right(bounds, lo + start) - 1
+                inner = bounds[first + 1 : bisect_left(bounds, lo + end)]
+                blocks.append((first, len(cuts), start, end))
+                cuts += [start, *(b - lo for b in inner)]
+            sums = _chunk_sums(y, d, cuts, [start for _, _, start, _ in blocks])
+            pieces = np.split(sums, [at for _, at, _, _ in blocks[1:]])
+            reduced = [
+                (first, part, d[start], y[end - 1])
+                for (first, _, start, end), part in zip(blocks, pieces)
+            ]
+            return reduced, int(np.count_nonzero(d > y))
 
     totals = np.zeros((len(bounds) - 1, 4))
     late = 0
-    run_first_d = prev_y = None  # prev_y: the previous chunk's last y
+    run_first_d = prev_y = None  # prev_y: the previous block's last y
 
     def merge(reduced: tuple) -> None:
         nonlocal late, run_first_d, prev_y
-        first, sums, chunk_late, first_d, last_y = reduced
+        blocks, chunk_late = reduced
         with np.errstate(over="ignore", invalid="ignore"):
-            if prev_y is None:
-                run_first_d = first_d
-            else:
-                totals[first, 3] += prev_y * first_d
-            totals[first : first + len(sums)] += sums
+            for first, sums, first_d, last_y in blocks:
+                if prev_y is None:
+                    run_first_d = first_d
+                else:
+                    totals[first, 3] += prev_y * first_d
+                totals[first : first + len(sums)] += sums
+                prev_y = last_y
         late += chunk_late
-        prev_y = last_y
 
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
@@ -497,14 +522,15 @@ def simulate_sessions(
 
     ``workers`` threads of this process split the run into compute chunks
     (one worker runs them on the caller's thread).  A chunk is the most
-    consecutive rows whose uniforms fit in 256 KiB, and at least 4
-    rows; each thread holds one chunk's uniforms at a time, and each chunk
-    is reduced to batch sums as soon as its kernel returns, so memory does
-    not grow with ``sessions``.  The sums cover up to 32 batches of
-    near-equal size (see :class:`SimulationRun`), apart from the chunks.
-    Batch boundaries, the chunk plan and the reduction order depend only on
-    the layout and session count, so outputs are bit-identical for any
-    ``workers``.
+    whole reduction blocks whose uniforms fit in 512 KiB, and at least one;
+    a block is the most consecutive rows whose uniforms fit in 256 KiB, and
+    at least 4 rows.  Each thread holds one chunk's uniforms at a time, and
+    each chunk is reduced to batch sums as soon as its kernel returns, so
+    memory does not grow with ``sessions``.  The sums cover up to 32
+    batches of near-equal size (see :class:`SimulationRun`), apart from the
+    blocks and chunks.  Batch boundaries, the blocks and the reduction
+    order depend only on the layout and session count, so outputs are
+    bit-identical for any ``workers`` and any chunk size.
     """
     variant = Variant(variant)
     delivery = DeliveryMode(delivery)

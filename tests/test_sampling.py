@@ -203,7 +203,7 @@ class TestInPlaceTransforms:
 
     @staticmethod
     def _clean(u):
-        return np.where(u == 0.0, _TINY_UNIFORM, u)
+        return np.maximum(u, _TINY_UNIFORM)
 
     def _exp_reference(self, u, rate):
         return -np.log1p(-self._clean(u)) / rate
@@ -227,6 +227,25 @@ class TestInPlaceTransforms:
             )
             assert np.array_equal(exp_from_uniform(u, rate), self._exp_reference(u, rate))
         assert np.array_equal(u, before)
+
+    def test_clamp_remaps_only_zero_on_the_generator_grid(self):
+        # Generator uniforms are multiples of 2^-53, so 0 is the only one
+        # below 2^-53: there the clamp equals remapping 0 to 2^-53.  Off the
+        # grid, every uniform below 2^-53 draws what 2^-53 draws.
+        u = make_stream(StreamSpec(43, 0)).random(4096)
+        u[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
+        remapped = np.where(u == 0.0, _TINY_UNIFORM, u)
+        assert np.array_equal(exp_from_uniform(u, 0.7), exp_from_uniform(remapped, 0.7))
+        for count in (2, 4096):
+            assert np.array_equal(
+                max_exp_from_uniform(u, count, 0.7), max_exp_from_uniform(remapped, count, 0.7)
+            )
+        below = np.array([5e-324, 1e-300, 2.0**-54])
+        assert np.array_equal(exp_from_uniform(below, 0.7), np.full(3, exp_from_uniform(2.0**-53, 0.7)))
+        assert np.array_equal(
+            max_exp_from_uniform(below, 8, 0.7), np.full(3, max_exp_from_uniform(2.0**-53, 8, 0.7))
+        )
 
     def test_strided_views_and_scalars(self):
         u = make_stream(StreamSpec(42, 0)).random((64, 9))
@@ -338,8 +357,9 @@ class TestGammaFromUniform:
     def test_first_build_on_threads_is_bit_identical(self, fills, monkeypatch):
         # Four threads on any machine, switching every microsecond, each
         # building the cleared table for its first chunk at once: 512 rows
-        # of 27 uniforms in chunks of 128 rows.
+        # of 27 uniforms in chunks of two 64-row blocks.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", 64 * 27)
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 128 * 27)
         params = SchemeParams(4096, 8)
         _gamma_quantile_table.cache_clear()

@@ -1,5 +1,6 @@
 """Session samplers, coupling bounds, estimators, and the baseline."""
 
+import hashlib
 import os
 import re
 import sys
@@ -52,6 +53,12 @@ def _constant_run(sessions, y0, d0):
         return {"y": np.full(u.shape[0], y0), "d": np.full(u.shape[0], d0)}
 
     return scheme._run_batches(kernel, 1, sessions, 0, 0, 1, "rate=1.0")
+
+
+def _small_plan(monkeypatch, width, blocks_per_chunk=2):
+    """4-row reduction blocks, ``blocks_per_chunk`` of them to a compute chunk."""
+    monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", 1)
+    monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", blocks_per_chunk * 4 * width)
 
 
 def _assert_replayed_sums(run, kernel, width, monkeypatch):
@@ -129,17 +136,19 @@ class TestWorsenedSampler:
         for col in (run.y1, run.y2, run.y3, run.z):
             assert np.all(col > 0)
 
-    def test_scalar_matches_batch_row(self, monkeypatch):
-        # Every session replays bit for bit from its own stream, in 4-row
-        # chunks and 2 batches of 32, in both delivery modes.
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+    def test_scalar_matches_batch_row(self, fills, monkeypatch):
+        # Every session replays bit for bit from its own stream, in chunks
+        # of two 4-row blocks and 2 batches of 32, in both delivery modes.
         params = SchemeParams(64, 4)
         width = _worsened_width(params)
+        _small_plan(monkeypatch, width)
         for mode in DeliveryMode:
             run = simulate_sessions(
                 params, 64, delivery=mode, master_seed=7, base_stream_index=3,
             )
             assert [s.count for s in run.batch_summaries] == [32, 32]
+            assert [rows for _, rows, _ in fills] == [8] * 8
+            fills.clear()
             _assert_replayed_sums(
                 run, lambda u: _worsened_kernel(u, params, mode), width, monkeypatch
             )
@@ -165,7 +174,7 @@ class TestWorsenedSampler:
         late = int(np.sum(cols.d > cols.y))
         assert late > 0
         assert simulate_sessions(params, 5_000, master_seed=109).late_deliveries == late
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+        _small_plan(monkeypatch, _worsened_width(params), blocks_per_chunk=1)
         run = simulate_sessions(params, 5_000, master_seed=109, workers=2)
         assert run.late_deliveries == late
 
@@ -214,11 +223,12 @@ class TestExactSampler:
         assert simulate_sessions(*args, variant="exact", master_seed=204).late_deliveries == 0
 
     def test_scalar_matches_batch_row(self, fills, monkeypatch):
-        # 16 sessions replay bit for bit, in 4-row chunks and one batch.
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+        # 16 sessions replay bit for bit, in chunks of two 4-row blocks and
+        # one batch.
         params = SchemeParams(64, 4)
+        _small_plan(monkeypatch, _exact_width(params))
         run = simulate_sessions(params, 16, variant=Variant.EXACT, master_seed=5)
-        assert [rows for _, rows, _ in fills] == [4, 4, 4, 4]
+        assert [rows for _, rows, _ in fills] == [8, 8]
         _assert_replayed_sums(
             run, lambda u: _exact_kernel(u, params), _exact_width(params), monkeypatch
         )
@@ -361,9 +371,11 @@ class TestPhaseTwo:
         assert _exact_width(SchemeParams(4096, 8)) == 4096 + 8 + 4096 + 1
 
     def test_gamma_path_sessions_replay(self, monkeypatch):
-        # 96 sessions make 3 batches of 32 in 4-row chunks.
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+        # 96 sessions make 3 batches of 32 in 4-row blocks, three to a
+        # chunk of the worsened rows and one to a chunk of the exact rows,
+        # which are wider than the chunk budget.
         params = SchemeParams(4096, 8)
+        _small_plan(monkeypatch, _worsened_width(params), blocks_per_chunk=3)
         cases = [(Variant.WORSENED, mode) for mode in DeliveryMode]
         for variant, mode in cases + [(Variant.EXACT, DeliveryMode.INDEPENDENT)]:
             run = simulate_sessions(
@@ -396,13 +408,14 @@ class TestMomentSummary:
         assert sums.sum(axis=0).tolist() == [30, 2.5, 4.5, 6.5, 4.0]
 
     def test_bit_identical_across_worker_counts(self, fills):
-        # 20 000 rows of 15 uniforms make 10 chunks of up to 2184.
+        # 20 000 rows of 15 uniforms make 10 blocks of up to 2184 rows, two
+        # to a chunk.
         params = SchemeParams(64, 4)
         runs = []
         for workers in (1, 4, 16):
             fills.clear()
             runs.append(simulate_sessions(params, 20_000, master_seed=9, workers=workers))
-            assert len(fills) == 10
+            assert len(fills) == 5
         assert runs[0].batch_summaries == runs[1].batch_summaries == runs[2].batch_summaries
 
 
@@ -444,10 +457,10 @@ class TestEstimators:
             estimate_age_moment_formula([MomentSummary(1, 1.0, 1.0, 1.0)])
 
     def test_timeline_on_deterministic_sessions(self, monkeypatch):
-        # Constant sessions through the batch engine, in 4-row chunks too.
+        # Constant sessions through the batch engine, in 4-row blocks too.
         y0, d0 = 2.0, 0.75
-        for budget in (scheme._CHUNK_UNIFORMS, 1):
-            monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
+        for budget in (scheme._BLOCK_UNIFORMS, 1):
+            monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", budget)
             est = integrate_age_timeline(_constant_run(100, y0, d0))
             assert est.delta_hat == pytest.approx(d0 + y0 / 2.0, rel=1e-12)
 
@@ -465,7 +478,7 @@ class TestEstimators:
         # time of the freshest update, which at t = 0 is the previous
         # period's last.  Each batch's sum_prev_y_d holds y_{j-1} d_j of its
         # sessions j, the run's first d pairing with its last y, in 4-row
-        # chunks too.
+        # blocks too.
         params = SchemeParams(64, 4)
         cols = session_columns(params, 3_000, delivery="coupled", master_seed=14)
         period = cols.y.sum()
@@ -482,8 +495,8 @@ class TestEstimators:
         expected = [
             (b - a, *terms[:, a:b].sum(axis=1)) for a, b in zip(bounds, bounds[1:])
         ]
-        for budget in (scheme._CHUNK_UNIFORMS, 1):
-            monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
+        for budget in (scheme._BLOCK_UNIFORMS, 1):
+            monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", budget)
             run = simulate_sessions(params, 3_000, delivery="coupled", master_seed=14)
             assert len(run.batch_summaries) == 32
             np.testing.assert_allclose(run.batch_summaries, expected, rtol=1e-12, atol=0.0)
@@ -577,8 +590,8 @@ class TestRoundRobin:
         assert abs(sq.mean() - (n * n + n) / rate**2) < 4 * _se(sq)
 
     def test_batch_rows_replay_from_session_stream(self, monkeypatch):
-        # 96 sessions make 3 batches of 32 in 4-row chunks.
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)
+        # 96 sessions make 3 batches of 32 in chunks of two 4-row blocks.
+        _small_plan(monkeypatch, 3)
         n, rate = 6, 1.0
         run = simulate_round_robin(n, rate, 96, master_seed=605, base_stream_index=1 << 31)
         assert [s.count for s in run.batch_summaries] == [32, 32, 32]
@@ -644,13 +657,14 @@ class TestSimulateSessions:
 
     def test_sums_bitwise_stable_across_workers(self, fills):
         # (4096, 8) draws phase two from gamma quantiles.  Its worsened runs
-        # make 7 and 3 chunks and its exact run 75 chunks of 4 rows, which no
-        # worker count above 1 divides; 100 sessions make 33 + 33 + 34.
+        # make 7 and 3 chunks of two blocks and its exact run 75 chunks of
+        # one 4-row block, which no worker count above 1 divides; 100
+        # sessions make 33 + 33 + 34.
         cases = [
-            lambda w: simulate_sessions(SchemeParams(64, 4), 8_000, master_seed=11, workers=w),
-            lambda w: simulate_sessions(SchemeParams(4096, 8), 8_000, master_seed=11, workers=w),
+            lambda w: simulate_sessions(SchemeParams(64, 4), 12_000, master_seed=11, workers=w),
+            lambda w: simulate_sessions(SchemeParams(4096, 8), 16_000, master_seed=11, workers=w),
             lambda w: simulate_sessions(
-                SchemeParams(4096, 8), 2_500, delivery=DeliveryMode.COUPLED,
+                SchemeParams(4096, 8), 6_000, delivery=DeliveryMode.COUPLED,
                 master_seed=11, workers=w,
             ),
             lambda w: simulate_sessions(
@@ -670,7 +684,7 @@ class TestSimulateSessions:
             for run in runs[1:]:
                 _assert_same_run(runs[0], run)
         assert batches == [32, 32, 32, 9, 3, 32]
-        assert chunks == [4, 7, 3, 75, 1, 1]
+        assert chunks == [3, 7, 3, 75, 1, 1]
 
     def test_rejects_invalid_worker_counts(self):
         for workers in (0, -5):
@@ -705,32 +719,25 @@ def _assert_same_run(a, b):
     assert a.late_deliveries == b.late_deliveries
 
 
-def _assert_regrouped_run(a, b):
-    """``a`` and ``b`` reduce the same sessions in other chunks: equal counts,
-    and sums that differ only by the grouping of their additions."""
-    assert [s.count for s in a.batch_summaries] == [s.count for s in b.batch_summaries]
-    np.testing.assert_allclose(a.batch_summaries, b.batch_summaries, rtol=1e-12, atol=0.0)
-    assert a.late_deliveries == b.late_deliveries
-
-
 class TestBatchWorkers:
     # SchemeParams(64, 8) has 8 cells, below the gamma table's shape floor,
-    # so phase two stays per cell: rows hold 27 uniforms.  A chunk holds
-    # 32768 // 27 = 1213 rows, so 2000 sessions make two chunks, of 1213 and
-    # 787 rows.
+    # so phase two stays per cell: rows hold 27 uniforms.  A block holds
+    # 32768 // 27 = 1213 rows and a chunk two blocks, so 4000 sessions make
+    # two chunks, of 2426 and 1574 rows.
 
     def test_threads_bounded_by_cpus_and_batches(self, executors, monkeypatch):
         params = SchemeParams(64, 8)
-        serial = simulate_sessions(params, 2000, master_seed=4)
+        serial = simulate_sessions(params, 4000, master_seed=4)
         assert len(serial.batch_summaries) == 32
-        two_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
-        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)  # 4-row chunks
-        small_chunks = simulate_sessions(params, 2000, master_seed=4, workers=10**6)
+        two_chunks = simulate_sessions(params, 4000, master_seed=4, workers=10**6)
+        monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 1)  # one block a chunk
+        four_chunks = simulate_sessions(params, 4000, master_seed=4, workers=10**6)
+        monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", 1)  # 4-row blocks
         two = simulate_sessions(params, 8, master_seed=4, workers=10**6)
-        # Bounded by the chunks (2), by the 3 CPUs (500 chunks), by the chunks (2).
+        # Bounded by the chunks (2), by the 3 CPUs (4 chunks), by the chunks (2).
         assert executors == [2, 3, 2]
         _assert_same_run(serial, two_chunks)
-        _assert_regrouped_run(serial, small_chunks)
+        _assert_same_run(serial, four_chunks)
         assert len(two.batch_summaries) == 1
 
     def test_batch_error_reaches_caller_and_threads_end(self, executors, monkeypatch):
@@ -742,7 +749,8 @@ class TestBatchWorkers:
             return kernel(u, params, mode)
 
         monkeypatch.setattr(scheme, "_worsened_kernel", failing)
-        # Room for 64 rows of 27 uniforms a chunk.
+        # Blocks of 32 rows of 27 uniforms, two to a chunk.
+        monkeypatch.setattr(scheme, "_BLOCK_UNIFORMS", 32 * 27)
         monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", 64 * 27)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="kernel failed"):
@@ -763,13 +771,13 @@ class TestBatchWorkers:
         params = SchemeParams(64, 8)
         # One worker, or a single chunk, runs inline on the caller's thread:
         # two chunks on one worker, then one chunk of 100 rows and one of 16.
-        simulate_sessions(params, 2000, workers=1)
+        simulate_sessions(params, 4000, workers=1)
         simulate_sessions(params, 100, workers=2)
         simulate_sessions(params, 16, workers=2)
         assert seen == [caller] * 4
         assert executors == []
         seen.clear()
-        simulate_sessions(params, 2000, workers=2)
+        simulate_sessions(params, 4000, workers=2)
         assert executors == [2]
         assert len(seen) == 2
         assert {pid for pid, _ in seen} == {os.getpid()}
@@ -784,11 +792,11 @@ class TestBatchWorkers:
                 "the simulated sums at lambda_intra=1e-152, lambda_inter=1.0 "
                 "leave the float64 range"
             )):
-                simulate_sessions(SchemeParams(64, 8, lambda_intra=1e-152), 2000, workers=workers)
+                simulate_sessions(SchemeParams(64, 8, lambda_intra=1e-152), 4000, workers=workers)
             with pytest.raises(ValueError, match=re.escape(
                 "the simulated sums at rate=1e-300 leave the float64 range"
             )):
-                simulate_round_robin(8, 1e-300, 20_000, workers=workers)
+                simulate_round_robin(8, 1e-300, 40_000, workers=workers)
         assert executors == ([] if workers == 1 else [2, 2])
 
     def test_more_threads_than_cores_under_fast_switching(self, executors, fills, monkeypatch):
@@ -796,22 +804,23 @@ class TestBatchWorkers:
         # merged out of order would show.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 8)
         params = SchemeParams(256, 32)
-        serial = simulate_sessions(params, 4096, master_seed=6)
-        # 8 cells keep phase two per cell: rows of 75 uniforms make 10 chunks
-        # of up to 436 rows across 32 batches of 128.
+        serial = simulate_sessions(params, 8192, master_seed=6)
+        # 8 cells keep phase two per cell: rows of 75 uniforms make 19
+        # blocks of up to 436 rows, 10 chunks of two, across 32 batches of 256.
         assert len(fills) == 10
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = simulate_sessions(params, 4096, master_seed=6, workers=8)
+            threaded = simulate_sessions(params, 8192, master_seed=6, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert executors == [8]
         _assert_same_run(serial, threaded)
 
 
-# Runs that cover each kernel and delivery mode, rows wider than a chunk's
-# budget, the sweep-quarter points and 100 sessions, which 32 does not divide.
+# Runs that cover each kernel and delivery mode, exact rows of 2057
+# uniforms (15-row blocks), the sweep-quarter points and 100 sessions, which
+# 32 does not divide.
 _CHUNK_CASES = {
     "worsened-independent": lambda w: simulate_sessions(
         SchemeParams(1024, 8), 2000, master_seed=11, workers=w),
@@ -821,7 +830,7 @@ _CHUNK_CASES = {
         SchemeParams(64, 4), 2000, variant="exact", master_seed=11, workers=w),
     "exact-wide": lambda w: simulate_sessions(
         SchemeParams(1024, 8), 300, variant="exact", master_seed=11, workers=w),
-    "round-robin": lambda w: simulate_round_robin(1024, 1.0, 20_000, master_seed=11, workers=w),
+    "round-robin": lambda w: simulate_round_robin(1024, 1.0, 50_000, master_seed=11, workers=w),
     "quarter-4096": lambda w: simulate_sessions(
         SchemeParams(4096, 8), 10_000, master_seed=12, base_stream_index=1, workers=w),
     "quarter-16384": lambda w: simulate_sessions(
@@ -835,34 +844,37 @@ _CHUNK_CASES = {
 class TestChunkPlan:
     @pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
     def test_outputs_identical_across_chunk_plans(self, case, monkeypatch):
-        # Each chunk plan gives the same sums on any worker count.  Chunks
-        # reduce their own rows, so another plan regroups the additions:
-        # its sums move by rounding only.
+        # Reduction blocks fix every sum, so every chunk budget, from one
+        # block a chunk to the whole run in one, gives the same bits on any
+        # worker count.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
         reference = _CHUNK_CASES[case](1)
         counts = [s.count for s in reference.batch_summaries]
         if case == "remainder":
             assert counts == [33, 33, 34]
-        if case == "exact-wide":  # 9 batches across chunks of 15 rows
+        if case == "exact-wide":  # 9 batches across blocks of 15 rows
             assert counts == [33, 33, 34, 33, 33, 34, 33, 33, 34]
-        default = scheme._CHUNK_UNIFORMS
-        for budget in (1, default, 2**40):
+        for budget in (1, scheme._CHUNK_UNIFORMS, 2**40):
             monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", budget)
-            plan = _CHUNK_CASES[case](1)
-            for workers in (2, 4):
-                _assert_same_run(plan, _CHUNK_CASES[case](workers))
-            if budget == default:
-                _assert_same_run(reference, plan)
-            else:
-                _assert_regrouped_run(reference, plan)
+            for workers in (1, 2, 4):
+                _assert_same_run(reference, _CHUNK_CASES[case](workers))
 
     @pytest.mark.parametrize("case", ["exact-wide", "quarter-4096", "round-robin", "remainder"])
     def test_chunks_cover_whole_batches_within_budget(self, case, fills, monkeypatch):
-        # Chunks are runs of rows, apart from the batches: they tile the run
-        # in order, each holds at most max(budget, 4 rows) uniforms,
-        # each but the last is as long as that allows, and the plan is the
-        # same for any worker count.
+        # Blocks, runs of rows apart from the batches, tile the run in
+        # max(4, 2^15 // width) rows.  Chunks tile it in order in whole
+        # blocks: each holds at most max(budget, one block) uniforms, each
+        # but the last is as long as that allows, and the plan is the same
+        # for any worker count.
         monkeypatch.setattr(scheme.os, "cpu_count", lambda: 4)
+        block_starts = []
+        chunk_sums = scheme._chunk_sums
+
+        def recording(y, d, cuts, starts):
+            block_starts.append(list(starts))
+            return chunk_sums(y, d, cuts, starts)
+
+        monkeypatch.setattr(scheme, "_chunk_sums", recording)
         plans = []
         for workers in (1, 2, 4):
             fills.clear()
@@ -871,26 +883,73 @@ class TestChunkPlan:
         assert plans[0] == plans[1] == plans[2]
 
         width = plans[0][0][2]
-        room = max(scheme._CHUNK_UNIFORMS, 4 * width)
+        block = {"exact-wide": 15, "quarter-4096": 1213, "round-robin": 10_922, "remainder": 2184}
+        assert scheme._MIN_BLOCK_ROWS == 4 and scheme._BLOCK_UNIFORMS == 2**15
+        assert max(4, 2**15 // width) == block[case]
+        room = max(scheme._CHUNK_UNIFORMS, block[case] * width)
         position = 0
-        for first, rows, _ in plans[0]:
+        # The first run, on one worker, reduced its chunks in order.
+        for (first, rows, _), starts in zip(plans[0], block_starts):
             assert first == position  # chunks tile the run in order
+            assert starts == list(range(0, rows, block[case]))
             assert rows * width <= room
-            if first + rows < run.sessions:  # one more row would not fit
-                assert (rows + 1) * width > room
+            if first + rows < run.sessions:
+                assert rows % block[case] == 0  # whole blocks
+                assert (rows + block[case]) * width > room  # one more would not fit
             position += rows
         assert position == run.sessions
         expected = {
-            "exact-wide": (20, 15), "quarter-4096": (9, 1213),
-            "round-robin": (2, 10_922), "remainder": (1, 100),
+            "exact-wide": (10, 30), "quarter-4096": (5, 2426),
+            "round-robin": (3, 21_844), "remainder": (1, 100),
         }
         assert (len(plans[0]), plans[0][0][1]) == expected[case]
 
     def test_widest_rows_fill_four_at_a_time(self, fills):
-        # An exact (65536, 16) row holds 131 089 uniforms, 1 MiB: each fill
-        # holds the 4-row floor, not a 32-session batch.
+        # An exact (65536, 16) row holds 131 089 uniforms, 1 MiB: each block
+        # holds the 4-row floor, not a 32-session batch, and each chunk one
+        # block, which alone is past the chunk budget.
         simulate_sessions(SchemeParams(65536, 16), 64, variant="exact", master_seed=3)
         assert [rows for _, rows, _ in fills] == [4] * 16
+
+
+# sha256 of repr(run.batch_summaries), recorded at commit 42a1f58, before
+# reduction blocks and compute chunks were split: a chunk plan that moves a
+# bit of any sum changes them.  The exact kernel's sums take one of two
+# values, from numpy's AVX-512 loops or from its baseline loops.
+_RECORDED_DIGESTS = {
+    "worsened-coupled": (
+        lambda w: simulate_sessions(
+            SchemeParams(1024, 8), 5000, delivery="coupled", master_seed=30, workers=w),
+        {"82841aea4f8d84186fdb6a839f5a57c66c3b4e8914f32d041f4d48025b353bfd"},
+    ),
+    "worsened-65536-16": (
+        lambda w: simulate_sessions(
+            SchemeParams(65536, 16), 2000, master_seed=30, base_stream_index=1, workers=w),
+        {"968d541ebb6fd03554e1ba96134235ae235c2f334f0075c5298b3c15946cfb5d"},
+    ),
+    "exact": (
+        lambda w: simulate_sessions(
+            SchemeParams(64, 4), 500, variant="exact", master_seed=30, base_stream_index=2,
+            workers=w),
+        {
+            "f415c06890361efc474312229ec2be1142657140d927366606f1773246b93da8",
+            "6917b256aa92fa9084368471851c0d19f1065b1f01b96f9136c0b9e1f104b329",
+        },
+    ),
+    "round-robin": (
+        lambda w: simulate_round_robin(
+            1024, 1.0, 20_000, master_seed=30, base_stream_index=3, workers=w),
+        {"b653f0a40b960124b00b7262197f9982506048f184ad6359a4b988828ad045a5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECORDED_DIGESTS))
+def test_batch_sums_match_recorded_digests(case):
+    run, digests = _RECORDED_DIGESTS[case]
+    for workers in (1, 2):
+        summaries = run(workers).batch_summaries
+        assert hashlib.sha256(repr(summaries).encode()).hexdigest() in digests, workers
 
 
 class TestBatchBounds:
