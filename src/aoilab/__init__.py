@@ -34,7 +34,7 @@ from .scheme import (
     Variant,
     estimate_age_moment_formula,
     integrate_age_timeline,
-    sample_coupled_sessions,
+    simulate_coupled_pairs,
     simulate_round_robin,
     simulate_sessions,
 )
@@ -60,9 +60,9 @@ __all__ = [
     "order_stat_moments",
     "phase_moments",
     "round_robin_age",
-    "sample_coupled_sessions",
     "scaling_exponent",
     "session_stream",
+    "simulate_coupled_pairs",
     "simulate_round_robin",
     "simulate_sessions",
 ]

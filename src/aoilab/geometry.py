@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -98,6 +99,16 @@ def place_nodes(n: int, area: float, stream: np.random.Generator) -> Topology:
     return Topology(area_side=side, positions=stream.random((n, 2)) * side)
 
 
+def _square_grid_sizes(n: int, m: int) -> list[int]:
+    """The cell sizes ``n / k^2`` (``k^2`` dividing ``n``) nearest ``m`` in
+    log ratio, ties in ascending order.  Only ``k <= 2^16`` is tried, so the
+    sizes are the nearest up to ``n = 2^32`` and may not be above it."""
+    roots = range(1, min(math.isqrt(n), 1 << 16) + 1)
+    sizes = [n // (k * k) for k in roots if n % (k * k) == 0]
+    gaps = [Fraction(max(s, m), min(s, m)) for s in sizes]
+    return sorted(s for s, gap in zip(sizes, gaps) if gap == min(gaps))
+
+
 def build_cells(n: int, m: int, area: float) -> CellGrid:
     """Grid of n/m equal square cells of side sqrt(area * m / n).
 
@@ -111,9 +122,10 @@ def build_cells(n: int, m: int, area: float) -> CellGrid:
     cells = n // m
     per_side = math.isqrt(cells)
     if per_side * per_side != cells:
+        nearest = " or ".join(f"m={s}" for s in _square_grid_sizes(n, m))
         raise ValueError(
             f"n/m = {cells} cells cannot tile a square grid; pick m so that "
-            f"n/m is a perfect square (e.g. m={n // (per_side * per_side)})"
+            f"n/m is a perfect square (nearest: {nearest})"
         )
     side = _square_side(area)
     if area / cells < _FLOAT_TINY:

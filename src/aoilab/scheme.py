@@ -15,10 +15,10 @@ after the session ends; under ``coupled`` the round is the max of the relay
 and the other cells', so it never does.  Both give ``D`` and ``Y`` the
 marginals of the closed form.
 
-:func:`sample_coupled_sessions` draws (exact, worsened) pairs from one
-row each: an exact row followed by one uniform per phase-one round, so the
-worsened variant's bound on the exact one is checked session by session
-on the rows the exact kernel draws.
+:func:`simulate_coupled_pairs` runs (exact, worsened) pairs, each from one
+row: an exact row followed by one uniform per phase-one round.  It counts,
+per run, the sessions where the worsened variant fails to bound the exact
+one drawn from the same row; every count is 0 on every path.
 
 Sessions are i.i.d.; session ``s`` of a run draws the ``s``-th row of
 the run's window of draws (see :mod:`aoilab.sampling`), so results are
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,15 +90,16 @@ class SimulationRun:
     ``batch_summaries[i]`` covers sessions ``[b[i], b[i+1])`` with
     ``b = _batch_bounds(sessions)``: at most 32 consecutive batches whose
     sizes differ by at most 1, each of at least 32 sessions unless the run
-    is a single batch.  ``late_deliveries`` counts the sessions with
-    ``d > y``.
+    is a single batch.  ``counts`` holds, for each condition the run names,
+    the number of sessions where it holds; every run names
+    ``late_deliveries``, the sessions with ``d > y``.
     """
 
     master_seed: int
     base_stream_index: int
     sessions: int
     batch_summaries: list[MomentSummary] = field(repr=False)
-    late_deliveries: int
+    counts: dict[str, int]
 
     @property
     def batch_size(self) -> int:
@@ -243,6 +244,33 @@ def _exact_kernel(u: np.ndarray, params: SchemeParams) -> dict:
     return _exact_columns(*_exact_draws(u, params))
 
 
+def _coupled_kernel(u: np.ndarray, params: SchemeParams) -> dict:
+    """Columns of (exact, worsened) pairs: the worsened half's under their
+    usual names, the exact half's as ``exact_y1``, ``exact_y2`` and so on.
+
+    A coupled row is an exact row, whose :func:`_exact_kernel` is the exact
+    half, followed by one uniform for each phase-one round.  A worsened
+    phase-one round is the max of the cells' round maxima and of one max of
+    the ``n / m`` draws the bound adds, from the round's uniform; at m = 1
+    that is the whole round, a max of ``n`` draws.  A worsened phase-three
+    round is the max of the cells' relays, and the tagged packet arrives
+    with its own cell's relay in round ``j``.  Phase two is shared.  Both
+    halves sum each phase's rounds in the same order, so ``exact.y1 <=
+    y1``, ``exact.y3 <= y3`` and ``z <= y3`` hold on every path, in floating
+    point too.
+    """
+    rounds1, y2, relays, j = draws = _exact_draws(u, params)
+    # Both halves sum rounds over a contiguous last axis of length m, so
+    # numpy sums them with one tree.
+    rounds = max_exp_from_uniform(u[:, -params.m :], params.cells, params.lambda_intra)
+    if rounds1 is not None:
+        rounds = np.maximum(rounds1.max(axis=1), rounds)
+    own = np.take_along_axis(relays[:, 0, :], j[:, None], axis=1)[:, 0]
+    worsened = _columns(rounds.sum(axis=1), y2, *_phase_three(relays.max(axis=1), j, own))
+    exact = {f"exact_{name}": col for name, col in _exact_columns(*draws).items()}
+    return {**worsened, **exact}
+
+
 _ROUND_ROBIN_WIDTH = 3
 
 
@@ -283,55 +311,6 @@ def _round_robin_kernel(u: np.ndarray, n: int, rate: float) -> dict:
     last = (u[:, 0] * n).astype(np.int64) >= n - 1
     d = y * np.where(last, 1.0, u[:, 1])
     return {"y": y, "d": d}
-
-
-# ---------------------------------------------------------------------------
-# Pathwise-coupled pair sampler.
-# ---------------------------------------------------------------------------
-
-
-def sample_coupled_sessions(
-    params: SchemeParams,
-    sessions: int,
-    *,
-    master_seed: int = 0,
-    base_stream_index: int = 0,
-) -> tuple[dict, dict]:
-    """``(exact, worsened)`` columns ``y1, y2, y3, z, d, y`` of ``sessions``
-    pairs, each pair drawn from one row of the run's window of draws.
-
-    A coupled row is an exact row followed by ``m`` uniforms, one for each
-    phase-one round, so ``session_stream(master_seed, base_stream_index, s,
-    _exact_width(params) + m)`` replays pair ``s``, and the exact half is
-    :func:`_exact_kernel` of the row's exact part.  The worsened half reads
-    the same draws.  Its phase-one round is the max of the cells' round
-    maxima and of one max of the ``n / m`` draws the bound adds, from the
-    round's extra uniform; at m = 1 that is the whole round, a max of ``n``
-    draws.  Its phase-three round is the max of the cells' relays, and the
-    tagged packet arrives with its own cell's relay in round ``j``.  Phase
-    two is shared.  ``exact.y1 <= worsened.y1``, ``exact.y3 <= worsened.y3``
-    and ``z <= y3`` then hold on every path, in floating point too: both
-    sides of each phase are sums over rounds taken in the same order.
-
-    Every row is held at once, with a few ``(sessions, n)`` float64 arrays
-    of draws (10^4 pairs at (256, 8) peak near 160 MB), so this is for
-    checks of modest size, not for long runs.
-    """
-    m, cells = params.m, params.cells
-    width = _exact_width(params) + m
-    sessions = integer_at_least("sessions", sessions, 1)
-    u = fill_stream_rows(master_seed, base_stream_index, 0, sessions, width)
-    rounds1, y2, relays, j = draws = _exact_draws(u, params)
-
-    # One max over the n / m added draws a round: a max over all n draws of
-    # it with the cells' round maxima.  Both halves sum rounds over a
-    # contiguous last axis of length m, so numpy sums them with one tree.
-    rounds = max_exp_from_uniform(u[:, -m:], cells, params.lambda_intra)
-    if rounds1 is not None:
-        rounds = np.maximum(rounds1.max(axis=1), rounds)
-    own = np.take_along_axis(relays[:, 0, :], j[:, None], axis=1)[:, 0]
-    worsened = _columns(rounds.sum(axis=1), y2, *_phase_three(relays.max(axis=1), j, own))
-    return _exact_columns(*draws), worsened
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +372,7 @@ def _run_batches(
     base_stream_index: int,
     workers: int,
     rates: str,
+    flags: Callable[[dict], dict] = lambda cols: {"late_deliveries": cols["d"] > cols["y"]},
 ) -> SimulationRun:
     """Fill, run ``kernel`` (uniform rows -> columns) and reduce block by block.
 
@@ -403,13 +383,15 @@ def _run_batches(
     in ``_CHUNK_UNIFORMS``, and at least one block.  Each chunk fills its
     rows with one call, runs the kernel once and reduces its ``y`` and
     ``d`` columns at once into sums over the pieces each of its blocks
-    shares with the batches of :func:`_batch_bounds`; its columns are then
-    dropped.  Chunks run on up to ``workers`` threads of this process (the
-    fill and the kernels release the GIL), or inline on the caller's thread
-    when only one would run.  The caller's thread adds, block by block in
-    block order, the product of the previous block's last ``y`` and the
-    block's first ``d`` (it belongs to the batch of that ``d``), then the
-    block's pieces, into the batch sums.  After the last block it adds the
+    shares with the batches of :func:`_batch_bounds`, and counts the rows
+    where each named boolean column of ``flags(columns)`` holds into the
+    run's ``counts``; its columns are then dropped.  Chunks run on up to
+    ``workers`` threads of this process (the fill and the kernels release
+    the GIL), or inline on the caller's thread when only one would run.
+    The caller's thread adds, block by block in block order, the product of
+    the previous block's last ``y`` and the block's first ``d`` (it belongs
+    to the batch of that ``d``), then the block's pieces, into the batch
+    sums.  After the last block it adds the
     wrap, the run's last ``y`` times its first ``d``, to batch 0: the
     timeline's identity (see :func:`integrate_age_timeline`) lets the run's
     first session follow its last.  Kernel rows do not depend on the rows
@@ -454,15 +436,15 @@ def _run_batches(
                 (first, part, d[start], y[end - 1])
                 for (first, _, start, end), part in zip(blocks, pieces)
             ]
-            return reduced, int(np.count_nonzero(d > y))
+            return reduced, {name: int(np.count_nonzero(f)) for name, f in flags(cols).items()}
 
     totals = np.zeros((len(bounds) - 1, 4))
-    late = 0
+    counts = Counter()
     run_first_d = prev_y = None  # prev_y: the previous block's last y
 
     def merge(reduced: tuple) -> None:
-        nonlocal late, run_first_d, prev_y
-        blocks, chunk_late = reduced
+        nonlocal run_first_d, prev_y
+        blocks, chunk_counts = reduced
         with np.errstate(over="ignore", invalid="ignore"):
             for first, sums, first_d, last_y in blocks:
                 if prev_y is None:
@@ -471,7 +453,7 @@ def _run_batches(
                     totals[first, 3] += prev_y * first_d
                 totals[first : first + len(sums)] += sums
                 prev_y = last_y
-        late += chunk_late
+        counts.update(chunk_counts)
 
     threads = min(workers, len(chunks), os.cpu_count() or 1)
     if threads > 1:
@@ -502,7 +484,7 @@ def _run_batches(
             MomentSummary(b - a, *map(float, sums))
             for a, b, sums in zip(bounds, bounds[1:], totals)
         ],
-        late_deliveries=late,
+        counts=dict(counts),
     )
 
 
@@ -543,6 +525,37 @@ def simulate_sessions(
     width = _worsened_width(params) if variant == Variant.WORSENED else _exact_width(params)
     rates = f"lambda_intra={params.lambda_intra}, lambda_inter={params.lambda_inter}"
     return _run_batches(kernel, width, sessions, master_seed, base_stream_index, workers, rates)
+
+
+def _pathwise_bounds(cols: dict) -> dict:
+    return {
+        "late_deliveries": cols["d"] > cols["y"],
+        "exact_y1_above_worsened": cols["exact_y1"] > cols["y1"],
+        "exact_y3_above_worsened": cols["exact_y3"] > cols["y3"],
+        "z_above_y3": (cols["z"] > cols["y3"]) | (cols["exact_z"] > cols["exact_y3"]),
+    }
+
+
+def simulate_coupled_pairs(
+    params: SchemeParams,
+    sessions: int,
+    *,
+    master_seed: int = 0,
+    base_stream_index: int = 0,
+    workers: int = 1,
+) -> SimulationRun:
+    """Simulate (exact, worsened) pairs as :func:`simulate_sessions` runs
+    sessions, pair ``s`` from row ``s`` of the run's draws (see
+    :func:`_coupled_kernel`).  ``batch_summaries`` are the worsened half's
+    sums.  ``counts`` name the pairs with ``exact.y1 > worsened.y1``, with
+    ``exact.y3 > worsened.y3``, with ``z > y3`` in either half and with
+    ``d > y``: each is 0 on every path.
+    """
+    rates = f"lambda_intra={params.lambda_intra}, lambda_inter={params.lambda_inter}"
+    return _run_batches(
+        lambda u: _coupled_kernel(u, params), _exact_width(params) + params.m, sessions,
+        master_seed, base_stream_index, workers, rates, _pathwise_bounds,
+    )
 
 
 def simulate_round_robin(
@@ -622,9 +635,9 @@ def integrate_age_timeline(run: SimulationRun) -> AgeEstimate:
     is the batch means over the session batches (NaN for fewer than 64
     sessions, which make one batch).
     """
-    if run.late_deliveries:
+    if late := run.counts["late_deliveries"]:
         raise ValueError(
-            f"{run.late_deliveries} sessions deliver after the session ends (d > y); "
+            f"{late} sessions deliver after the session ends (d > y); "
             f"timeline integration needs coupled delivery"
         )
     return _batch_means(run.batch_summaries, lambda s: s.sum_prev_y_d / s.sum_y)

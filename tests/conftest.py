@@ -62,6 +62,21 @@ def session_columns():
 
 
 @pytest.fixture
+def coupled_columns():
+    """``columns(params, sessions, master_seed=, base_stream_index=)``: the
+    columns of the (exact, worsened) pairs ``simulate_coupled_pairs`` runs
+    with the same arguments, the worsened half's ``y1, y2, y3, z, d, y`` and
+    the exact half's ``exact_y1`` to ``exact_y``."""
+
+    def columns(params, sessions, *, master_seed=0, base_stream_index=0):
+        kernel = lambda u: scheme._coupled_kernel(u, params)  # noqa: E731
+        width = scheme._exact_width(params) + params.m
+        return _kernel_columns(kernel, width, sessions, master_seed, base_stream_index)
+
+    return columns
+
+
+@pytest.fixture
 def round_robin_columns():
     """``columns(n, rate, sessions, master_seed=, base_stream_index=)``: the
     columns of the run ``simulate_round_robin`` makes with the same arguments."""

@@ -254,6 +254,20 @@ class TestBuildCells:
         with pytest.raises(ValueError, match="perfect square"):
             build_cells(1024, 8, 1.0)  # 128 cells
 
+    @pytest.mark.parametrize("n, m, nearest", [
+        (4096, 8, "m=4 or m=16"),  # 512 cells; 1024 and 256 tile
+        (2**20, 32, "m=16 or m=64"),
+        (1000, 5, "m=10"),
+        (12, 1, "m=3"),
+        (2**61 - 1, 1, f"m={2**61 - 1}"),  # a prime: one cell
+        (2 * 65521**2, 1, "m=2"),  # 65521 is the largest prime below 2^16
+    ])
+    def test_refusal_names_the_nearest_square_grids(self, n, m, nearest):
+        # The cell sizes m' with n/m' a perfect square nearest m in log
+        # ratio, ties both; never the m that was refused.
+        with pytest.raises(ValueError, match=rf"\(nearest: {nearest}\)$"):
+            build_cells(n, m, 1.0)
+
     def test_tiling_conservation(self):
         for n, m, area in [(100, 4, 1.0), (64, 4, 4.0), (144, 16, 2.5)]:
             grid = build_cells(n, m, area)

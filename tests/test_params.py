@@ -23,7 +23,7 @@ from aoilab.expcli import divisor_adjusted_m
 from aoilab.geometry import build_cells, place_nodes
 from aoilab.params import SchemeParams, cell_exponent, finite_positive, integer_at_least
 from aoilab.sampling import StreamSpec, make_stream
-from aoilab.scheme import sample_coupled_sessions, simulate_round_robin, simulate_sessions
+from aoilab.scheme import simulate_coupled_pairs, simulate_round_robin, simulate_sessions
 
 P = SchemeParams(64, 4)
 
@@ -48,8 +48,8 @@ REFUSALS = [
                  id="simulate_sessions-sessions-float"),
     pytest.param(lambda: simulate_sessions(P, 100, workers=2.0),
                  "workers must be an integer, got 2.0", id="simulate_sessions-workers-float"),
-    pytest.param(lambda: sample_coupled_sessions(P, 10.0), "sessions must be an integer, got 10.0",
-                 id="sample_coupled_sessions-sessions-float"),
+    pytest.param(lambda: simulate_coupled_pairs(P, 10.0), "sessions must be an integer, got 10.0",
+                 id="simulate_coupled_pairs-sessions-float"),
     pytest.param(lambda: SchemeParams(64, 4, True),
                  "lambda_intra must be finite and > 0, got True", id="SchemeParams-rate-bool"),
     pytest.param(lambda: simulate_round_robin(6, True, 100),

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,7 @@ from aoilab import (
     make_stream,
     phase_moments,
     round_robin_age,
-    sample_coupled_sessions,
+    simulate_coupled_pairs,
     simulate_round_robin,
     simulate_sessions,
 )
@@ -61,17 +62,17 @@ def _small_plan(monkeypatch, width, blocks_per_chunk=2):
     monkeypatch.setattr(scheme, "_CHUNK_UNIFORMS", blocks_per_chunk * 4 * width)
 
 
-def _assert_replayed_sums(run, kernel, width, monkeypatch):
+def _assert_replayed_sums(run, kernel, width, monkeypatch, *flags):
     """Check ``run`` against its sessions replayed one by one from their own
     streams through ``kernel``: the batch engine, fed the replayed rows in
-    place of its fills, must reproduce every sum of ``run`` bit for bit."""
+    place of its fills (and counting ``flags``, if given), must reproduce
+    every sum and count of ``run`` bit for bit."""
     streams = [
         session_stream(run.master_seed, run.base_stream_index, s, width)
         for s in range(run.sessions)
     ]
     rows = [kernel(stream.random(width)[None, :]) for stream in streams]
-    y = np.array([row["y"][0] for row in rows])
-    d = np.array([row["d"][0] for row in rows])
+    cols = {name: np.array([row[name][0] for row in rows]) for name in rows[0]}
 
     def session_indices(master_seed, base_stream_index, first_session, rows, width):
         return np.arange(first_session, first_session + rows)[:, None]
@@ -79,8 +80,8 @@ def _assert_replayed_sums(run, kernel, width, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(scheme, "fill_stream_rows", session_indices)
         replayed = scheme._run_batches(
-            lambda s: {"y": y[s[:, 0]], "d": d[s[:, 0]]},
-            width, run.sessions, run.master_seed, run.base_stream_index, 1, "rate=1.0",
+            lambda s: {name: col[s[:, 0]] for name, col in cols.items()},
+            width, run.sessions, run.master_seed, run.base_stream_index, 1, "rate=1.0", *flags,
         )
     _assert_same_run(run, replayed)
 
@@ -164,7 +165,8 @@ class TestWorsenedSampler:
         args = (SchemeParams(64, 4), 100_000)
         run = session_columns(*args, delivery=DeliveryMode.COUPLED, master_seed=107)
         assert np.all(run.d <= run.y)
-        assert simulate_sessions(*args, delivery="coupled", master_seed=107).late_deliveries == 0
+        run = simulate_sessions(*args, delivery="coupled", master_seed=107)
+        assert run.counts == {"late_deliveries": 0}
 
     def test_late_deliveries_counted_per_session(self, session_columns, monkeypatch):
         # Independent delivery lands after the session end on some paths;
@@ -173,10 +175,10 @@ class TestWorsenedSampler:
         cols = session_columns(params, 5_000, master_seed=109)
         late = int(np.sum(cols.d > cols.y))
         assert late > 0
-        assert simulate_sessions(params, 5_000, master_seed=109).late_deliveries == late
+        assert simulate_sessions(params, 5_000, master_seed=109).counts["late_deliveries"] == late
         _small_plan(monkeypatch, _worsened_width(params), blocks_per_chunk=1)
         run = simulate_sessions(params, 5_000, master_seed=109, workers=2)
-        assert run.late_deliveries == late
+        assert run.counts == {"late_deliveries": late}
 
     def test_coupled_mode_keeps_marginal_means(self, session_columns):
         params = SchemeParams(64, 4)
@@ -220,7 +222,8 @@ class TestExactSampler:
         args = (SchemeParams(64, 4), 50_000)
         run = session_columns(*args, variant=Variant.EXACT, master_seed=204)
         assert np.all(run.d <= run.y)
-        assert simulate_sessions(*args, variant="exact", master_seed=204).late_deliveries == 0
+        run = simulate_sessions(*args, variant="exact", master_seed=204)
+        assert run.counts == {"late_deliveries": 0}
 
     def test_scalar_matches_batch_row(self, fills, monkeypatch):
         # 16 sessions replay bit for bit, in chunks of two 4-row blocks and
@@ -234,42 +237,77 @@ class TestExactSampler:
         )
 
 
-def _assert_pathwise_bounds(exact, worsened):
-    assert np.all(exact["y1"] <= worsened["y1"])
-    assert np.all(exact["y3"] <= worsened["y3"])
-    for half in (exact, worsened):
-        assert np.all(half["z"] <= half["y3"])
-        assert np.all(half["d"] <= half["y"])
+_PATHWISE_COUNTS = (
+    "late_deliveries", "exact_y1_above_worsened", "exact_y3_above_worsened", "z_above_y3"
+)
+
+
+def _assert_pathwise_bounds(pairs):
+    assert np.all(pairs.exact_y1 <= pairs.y1)
+    assert np.all(pairs.exact_y3 <= pairs.y3)
+    for half in ("", "exact_"):
+        assert np.all(getattr(pairs, half + "z") <= getattr(pairs, half + "y3"))
+        assert np.all(getattr(pairs, half + "d") <= getattr(pairs, half + "y"))
 
 
 class TestCoupledSessions:
-    def test_pathwise_bounds_hold_everywhere(self):
+    def test_pathwise_bounds_hold_everywhere(self, coupled_columns):
         for n, m, sessions in [(64, 4, 3_000), (16, 1, 3_000), (4096, 8, 300)]:
-            _assert_pathwise_bounds(
-                *sample_coupled_sessions(SchemeParams(n, m), sessions, master_seed=301)
-            )
+            _assert_pathwise_bounds(coupled_columns(SchemeParams(n, m), sessions, master_seed=301))
+            run = simulate_coupled_pairs(SchemeParams(n, m), sessions, master_seed=301)
+            assert run.counts == dict.fromkeys(_PATHWISE_COUNTS, 0), (n, m)
 
-    def test_m1_has_empty_exact_phase_one(self):
+    def test_m1_has_empty_exact_phase_one(self, coupled_columns):
         # At m = 1 the worsened round is the top-up max over all n draws.
-        exact, worsened = sample_coupled_sessions(SchemeParams(8, 1), 3_000, master_seed=304)
-        assert np.all(exact["y1"] == 0.0)
-        assert np.all(worsened["y1"] > 0.0)
-        _assert_pathwise_bounds(exact, worsened)
+        pairs = coupled_columns(SchemeParams(8, 1), 3_000, master_seed=304)
+        assert np.all(pairs.exact_y1 == 0.0)
+        assert np.all(pairs.y1 > 0.0)
+        _assert_pathwise_bounds(pairs)
 
     @pytest.mark.parametrize("n, m", [(64, 4), (16, 1)])
-    def test_exact_half_is_the_exact_kernel(self, n, m):
+    def test_exact_half_is_the_exact_kernel(self, n, m, coupled_columns):
         # A coupled row is an exact row followed by m uniforms; each pair
         # replays from its own stream, and its exact half is the exact
         # kernel of the row's exact part, bit for bit.
         params = SchemeParams(n, m)
         sessions, width = 50, _exact_width(params) + m
-        exact, _ = sample_coupled_sessions(
-            params, sessions, master_seed=305, base_stream_index=2
-        )
+        pairs = coupled_columns(params, sessions, master_seed=305, base_stream_index=2)
         for s in (0, 1, sessions - 1):
             row = session_stream(305, 2, s, width).random(width)[None, : _exact_width(params)]
             for name, col in _exact_kernel(row, params).items():
-                assert col[0] == exact[name][s], (s, name)
+                assert col[0] == getattr(pairs, "exact_" + name)[s], (s, name)
+
+    def test_runs_through_the_batch_engine(self, fills, monkeypatch):
+        # 96 pairs make 3 batches of 32 in 4-row blocks, two to a chunk;
+        # the sums are the worsened half's and the counts every bound's,
+        # replayed pair by pair, and the same on 2 workers.
+        params = SchemeParams(64, 4)
+        width = _exact_width(params) + 4
+        _small_plan(monkeypatch, width)
+        run = simulate_coupled_pairs(params, 96, master_seed=309, base_stream_index=1)
+        assert [rows for _, rows, _ in fills] == [8] * 12
+        assert run.counts == dict.fromkeys(_PATHWISE_COUNTS, 0)
+        _assert_same_run(run, simulate_coupled_pairs(
+            params, 96, master_seed=309, base_stream_index=1, workers=2))
+        _assert_replayed_sums(
+            run, lambda u: scheme._coupled_kernel(u, params), width, monkeypatch,
+            scheme._pathwise_bounds,
+        )
+
+    def test_memory_does_not_grow_with_pairs(self):
+        # Pairs are reduced chunk by chunk, so 10 times the pairs peak at
+        # about the same traced memory.
+        params = SchemeParams(256, 8)
+        simulate_coupled_pairs(params, 100, master_seed=310)  # builds the gamma table
+        peaks = []
+        for pairs in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                simulate_coupled_pairs(params, pairs, master_seed=310)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_exact_phase_one_matches_per_receiver_draws(self, session_columns):
         # Brute force: every broadcast of every cell draws one exponential
@@ -287,18 +325,25 @@ class TestCoupledSessions:
         assert abs(brute.mean() - kernel.mean()) < 4 * se
 
     @pytest.mark.parametrize("n, m", [(64, 4), (64, 1)])
-    def test_worsened_half_has_the_worsened_law(self, n, m, session_columns):
+    def test_worsened_half_has_the_worsened_law(self, n, m, session_columns, coupled_columns):
         params = SchemeParams(n, m)
-        _, worsened = sample_coupled_sessions(params, 20_000, master_seed=306)
+        worsened = coupled_columns(params, 20_000, master_seed=306)
         pm = phase_moments(params)
         for name, expected in [("y1", pm.e_y1), ("y3", pm.e_y3), ("z", pm.e_z)]:
-            col = worsened[name]
+            col = getattr(worsened, name)
             assert abs(col.mean() - expected) < 4 * _se(col), name
         kernel = session_columns(
             params, 20_000, delivery=DeliveryMode.COUPLED, master_seed=307
         )
         for name in ("y", "d"):
-            assert ks_2samp(worsened[name], getattr(kernel, name)).pvalue > 1e-3, name
+            assert ks_2samp(getattr(worsened, name), getattr(kernel, name)).pvalue > 1e-3, name
+
+    def test_worsened_half_age_matches_closed_form(self):
+        params = SchemeParams(1024, 8)
+        run = simulate_coupled_pairs(params, 20_000, master_seed=308)
+        assert run.counts == dict.fromkeys(_PATHWISE_COUNTS, 0)
+        est = estimate_age_moment_formula(run.batch_summaries)
+        assert abs(est.delta_hat - closed_form_age(params).total) < 4 * est.std_err
 
 
 class TestWorsenedDelivery:
@@ -393,10 +438,10 @@ class TestPhaseTwo:
                     run, lambda u: _exact_kernel(u, params), _exact_width(params), monkeypatch
                 )
 
-    def test_coupled_sessions_keep_pathwise_bounds(self):
-        exact, worsened = sample_coupled_sessions(SchemeParams(4096, 8), 300, master_seed=416)
-        assert np.array_equal(exact["y2"], worsened["y2"])
-        _assert_pathwise_bounds(exact, worsened)
+    def test_coupled_sessions_keep_pathwise_bounds(self, coupled_columns):
+        pairs = coupled_columns(SchemeParams(4096, 8), 300, master_seed=416)
+        assert np.array_equal(pairs.exact_y2, pairs.y2)
+        _assert_pathwise_bounds(pairs)
 
 
 class TestMomentSummary:
@@ -538,7 +583,7 @@ class TestEstimators:
             return {"y": np.array([1.2, 1.2]), "d": np.array([2.2, 0.7])}
 
         run = scheme._run_batches(kernel, 1, 2, 0, 0, 1, "rate=1.0")
-        assert run.late_deliveries == 1
+        assert run.counts == {"late_deliveries": 1}
         with pytest.raises(ValueError, match="1 sessions deliver after the session ends"):
             integrate_age_timeline(run)
 
@@ -716,7 +761,7 @@ def executors(monkeypatch):
 
 def _assert_same_run(a, b):
     assert a.batch_summaries == b.batch_summaries
-    assert a.late_deliveries == b.late_deliveries
+    assert a.counts == b.counts
 
 
 class TestBatchWorkers:
@@ -914,17 +959,24 @@ class TestChunkPlan:
 
 # sha256 of repr(run.batch_summaries), recorded at commit 42a1f58, before
 # reduction blocks and compute chunks were split: a chunk plan that moves a
-# bit of any sum changes them.  The exact kernel's sums take one of two
-# values, from numpy's AVX-512 loops or from its baseline loops.
+# bit of any sum changes them.  Results are bit-identical for every worker
+# count on one host, not across hosts: numpy's loops for log, log1p and
+# expm1 depend on its CPU dispatch (numpy.show_runtime() lists it).  Each
+# digest names the dispatch classes it was measured under: X86_V2 is
+# numpy's baseline, X86_V3 adds AVX2, X86_V4 AVX-512 (with AVX512_ICL and
+# AVX512_SPR); NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4
+# X86_V3" holds a host to X86_V2.
 _RECORDED_DIGESTS = {
     "worsened-coupled": (
         lambda w: simulate_sessions(
             SchemeParams(1024, 8), 5000, delivery="coupled", master_seed=30, workers=w),
+        # X86_V2, X86_V3 and X86_V4 alike
         {"82841aea4f8d84186fdb6a839f5a57c66c3b4e8914f32d041f4d48025b353bfd"},
     ),
     "worsened-65536-16": (
         lambda w: simulate_sessions(
             SchemeParams(65536, 16), 2000, master_seed=30, base_stream_index=1, workers=w),
+        # X86_V2, X86_V3 and X86_V4 alike
         {"968d541ebb6fd03554e1ba96134235ae235c2f334f0075c5298b3c15946cfb5d"},
     ),
     "exact": (
@@ -932,13 +984,16 @@ _RECORDED_DIGESTS = {
             SchemeParams(64, 4), 500, variant="exact", master_seed=30, base_stream_index=2,
             workers=w),
         {
+            # X86_V4, with or without AVX512_ICL and AVX512_SPR
             "f415c06890361efc474312229ec2be1142657140d927366606f1773246b93da8",
+            # X86_V2 and X86_V3
             "6917b256aa92fa9084368471851c0d19f1065b1f01b96f9136c0b9e1f104b329",
         },
     ),
     "round-robin": (
         lambda w: simulate_round_robin(
             1024, 1.0, 20_000, master_seed=30, base_stream_index=3, workers=w),
+        # X86_V2, X86_V3 and X86_V4 alike
         {"b653f0a40b960124b00b7262197f9982506048f184ad6359a4b988828ad045a5"},
     ),
 }
